@@ -3,10 +3,14 @@
 These quantify why the closed-form engine makes AO cheap: a periodic
 steady-state solve costs microseconds after the one-time
 eigendecomposition, versus milliseconds for a numerical integrator pass.
+The guarded AO solves time the whole path a caller runs on top of them.
 """
 
 import numpy as np
+import pytest
 
+import repro
+from repro.engine import ThermalEngine
 from repro.schedule.builders import random_stepup_schedule, two_mode_schedule
 from repro.thermal.periodic import periodic_steady_state
 from repro.thermal.reference import reference_simulate
@@ -60,3 +64,11 @@ def test_steady_state_batch(benchmark, platform9):
     model = platform9.model
     theta = benchmark(lambda: model.steady_state_batch(volts))
     assert theta.shape == (4096, 9)
+
+
+@pytest.mark.parametrize("preset, n_cores", [("paper", 3), ("tech-45-io", 12)])
+def test_guarded_ao(benchmark, preset, n_cores):
+    """A full guarded AO solve: m-scan, TPT/fill, verify, floor guard, certificate."""
+    platform = repro.load_platform(preset, n_cores=n_cores)
+    result = benchmark(lambda: repro.guarded_solve("AO", ThermalEngine(platform)))
+    assert result.feasible

@@ -110,10 +110,15 @@ def best_constant_above(
             dfs(pos + 1, partial_sum + lvl)
         assignment[core] = v_min
 
-    if n_active:
-        dfs(0, 0.0)
-    elif best_volts is None and feasible(assignment) and 0.0 > best_sum + 1e-12:
-        best_volts = assignment.copy()
+    try:
+        if n_active:
+            dfs(0, 0.0)
+        elif best_volts is None and feasible(assignment) and 0.0 > best_sum + 1e-12:
+            best_volts = assignment.copy()
+    finally:
+        # The recursive closure refers to itself; empty its cell so the
+        # cycle does not pin `model` and its caches until a full GC.
+        del dfs
     return best_volts
 
 

@@ -146,7 +146,12 @@ def exs_pruned(engine: ThermalEngine) -> SchedulerResult:
             dfs(core + 1, partial_sum + lvl)
         assignment[core] = v_min
 
-    dfs(0, 0.0)
+    try:
+        dfs(0, 0.0)
+    finally:
+        # The recursive closure refers to itself; empty its cell so the
+        # cycle does not pin the engine's model until a full GC.
+        del dfs
     elapsed = time.perf_counter() - t0
     if best["voltages"] is None:
         raise InfeasibleError(

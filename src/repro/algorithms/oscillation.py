@@ -26,7 +26,7 @@ import numpy as np
 from repro.engine import ThermalEngine, as_platform
 from repro.errors import SolverError
 from repro.platform import Platform
-from repro.schedule.builders import two_mode_schedule
+from repro.schedule.builders import TwoModeCandidates, two_mode_schedule
 from repro.schedule.periodic import PeriodicSchedule
 
 __all__ = [
@@ -113,15 +113,25 @@ def adjusted_high_ratios(
     whose low interval cannot host the transitions any more are reported
     by :func:`max_m_bound` — callers should not exceed it.
     """
+    return _adjusted_ratio_rows(platform, plan, [m], period)[0]
+
+
+def _adjusted_ratio_rows(
+    platform: Platform | ThermalEngine,
+    plan: ModePlan,
+    ms,
+    period: float,
+) -> np.ndarray:
+    """:func:`adjusted_high_ratios` for every m of ``ms`` at once: ``(len(ms), n)``."""
     platform = as_platform(platform)
-    ratios = plan.high_ratio.copy()
-    tau = platform.overhead.tau
-    if tau == 0 or m <= 0:
+    ms = np.asarray(ms)
+    ratios = np.tile(plan.high_ratio, (ms.size, 1))
+    if platform.overhead.tau == 0:
         return ratios
-    osc = plan.oscillating
-    for i in np.where(osc)[0]:
+    paid = ms > 0
+    for i in np.where(plan.oscillating)[0]:
         delta = platform.overhead.delta(plan.v_low[i], plan.v_high[i])
-        ratios[i] = min(1.0, ratios[i] + m * delta / period)
+        ratios[paid, i] = np.minimum(1.0, ratios[paid, i] + ms[paid] * delta / period)
     return ratios
 
 
@@ -174,35 +184,44 @@ def choose_m(
     the scanned ``(m, peak)`` pairs for diagnostics and Fig. 5-style plots.
 
     With ``batch`` (default) the whole sweep is priced through the batched
-    stable-status engine in one call; ``batch=False`` keeps the scalar
-    per-candidate loop (the two paths select the same m).
+    stable-status engine in one call, straight from the candidates'
+    arrays (:class:`~repro.schedule.builders.TwoModeCandidates`); only
+    the selected m's schedule is built.  ``batch=False`` keeps the scalar
+    per-candidate loop over schedule objects (the two paths select the
+    same m).
     """
     engine = ThermalEngine.ensure(platform)
     m_max = max_m_bound(engine, plan, period, cap=m_cap)
     candidates = list(range(1, m_max + 1, max(1, m_step)))
-    schedules = [
-        build_oscillating_schedule(
-            plan, adjusted_high_ratios(engine, plan, m, period), period, m
-        )
-        for m in candidates
-    ]
+    ratios = _adjusted_ratio_rows(engine, plan, candidates, period)
     if batch:
-        peaks = [r.value for r in engine.stepup_peak_batch(schedules)]
+        cands = TwoModeCandidates(
+            plan.v_low, plan.v_high, ratios, [period / m for m in candidates]
+        )
+        peaks = [r.value for r in engine.stepup_peak_batch(cands)]
     else:
-        peaks = [engine.stepup_peak(sched).value for sched in schedules]
-    return _select_m(candidates, schedules, peaks)
+        peaks = [
+            engine.stepup_peak(build_oscillating_schedule(plan, r, period, m)).value
+            for m, r in zip(candidates, ratios)
+        ]
+    best, history = _select_m(candidates, peaks)
+    m_opt = candidates[best]
+    return m_opt, build_oscillating_schedule(plan, ratios[best], period, m_opt), history
 
 
-def _select_m(candidates, schedules, peaks):
-    """Shared selection rule: first m whose peak strictly improves."""
+def _select_m(candidates, peaks) -> tuple[int, list[tuple[int, float]]]:
+    """Shared selection rule: first m whose peak strictly improves.
+
+    Returns the winner's index into ``candidates`` and the scan history.
+    """
     history: list[tuple[int, float]] = []
-    best_m, best_peak, best_sched = 1, np.inf, None
-    for m, sched, peak in zip(candidates, schedules, peaks):
+    best, best_peak = None, np.inf
+    for i, (m, peak) in enumerate(zip(candidates, peaks)):
         history.append((m, peak))
         if peak < best_peak - 1e-12:
-            best_m, best_peak, best_sched = m, peak, sched
-    assert best_sched is not None
-    return best_m, best_sched, history
+            best, best_peak = i, peak
+    assert best is not None
+    return best, history
 
 
 def choose_m_grid(
@@ -255,7 +274,8 @@ def choose_m_grid(
     for _engine, candidates, schedules in spans:
         span_peaks = peaks[offset : offset + len(schedules)]
         offset += len(schedules)
-        out.append(_select_m(candidates, schedules, span_peaks))
+        best, history = _select_m(candidates, span_peaks)
+        out.append((candidates[best], schedules[best], history))
     return out
 
 

@@ -31,6 +31,7 @@ from repro.algorithms.oscillation import ModePlan, build_oscillating_schedule
 from repro.engine import PeakBatchFn, PeakFn, ThermalEngine
 from repro.errors import ConvergenceError
 from repro.platform import Platform
+from repro.schedule.builders import TwoModeCandidates
 from repro.schedule.periodic import PeriodicSchedule
 from repro.thermal.peak import PeakResult
 
@@ -81,6 +82,8 @@ def enforce_threshold(
         runs out of iterations.
     """
     engine = ThermalEngine.ensure(platform)
+    # The default step-up pricing takes each iteration's trials as arrays.
+    arrays = peak_fn is None and peak_batch_fn is None
     peak_fn, peak_batch_fn = engine.resolve_peak_fns(peak_fn, peak_batch_fn)
     cycle = period / m
     if t_unit is None:
@@ -91,7 +94,10 @@ def enforce_threshold(
     ratios = np.asarray(ratios, dtype=float).copy()
     movable = plan.v_high > plan.v_low + 1e-12
 
-    sched = build_oscillating_schedule(plan, ratios, period, m)
+    def rebuild(r: np.ndarray) -> PeriodicSchedule:
+        return build_oscillating_schedule(plan, r, period, m)
+
+    sched = rebuild(ratios)
     peak = peak_fn(sched)
     iterations = 0
 
@@ -104,12 +110,13 @@ def enforce_threshold(
         hottest = peak.core
         best_j, best_tpt, best_drop = -1, -np.inf, 0.0
         movers = np.where(movable & (ratios > 1e-12))[0]
-        trials = []
-        for j in movers:
-            trial = ratios.copy()
-            trial[j] = max(0.0, trial[j] - unit_ratio)
-            trials.append(build_oscillating_schedule(plan, trial, period, m))
-        for j, trial_peak in zip(movers, peak_batch_fn(trials)):
+        trials = np.repeat(ratios[None, :], len(movers), axis=0)
+        for row, j in enumerate(movers):
+            trials[row, j] = max(0.0, ratios[j] - unit_ratio)
+        trial_peaks, _ = _price_trials(
+            engine, plan, trials, cycle, arrays, rebuild, peak_batch_fn
+        )
+        for j, trial_peak in zip(movers, trial_peaks):
             drop = peak.core_peaks[hottest] - trial_peak.core_peaks[hottest]
             tpt = drop / ((plan.v_high[j] - plan.v_low[j]) * t_unit)
             if tpt > best_tpt:
@@ -135,11 +142,27 @@ def enforce_threshold(
                 max(1, int(0.125 / unit_ratio)),
             )
         ratios[best_j] = max(0.0, ratios[best_j] - steps * unit_ratio)
-        sched = build_oscillating_schedule(plan, ratios, period, m)
+        sched = rebuild(ratios)
         peak = peak_fn(sched)
         iterations += 1
 
     return ratios, sched, peak, iterations
+
+
+def _price_trials(engine, plan, trials, cycle, arrays, rebuild, peak_batch_fn):
+    """Peaks of one iteration's single-quantum trials (rows of ``trials``).
+
+    Returns ``(peaks, schedules)``.  With the engine's default step-up
+    pricing (``arrays``) the trials go to the kernel as
+    :class:`~repro.schedule.builders.TwoModeCandidates` and no schedule is
+    built (``schedules`` is ``None``); otherwise ``rebuild`` turns each
+    row into a schedule for ``peak_batch_fn``.
+    """
+    if arrays:
+        cands = TwoModeCandidates(plan.v_low, plan.v_high, trials, cycle)
+        return engine.stepup_peak_batch(cands), None
+    schedules = [rebuild(r) for r in trials]
+    return peak_batch_fn(schedules), schedules
 
 
 def fill_headroom(
@@ -170,6 +193,7 @@ def fill_headroom(
     # Shifted schedules are no longer step-up, so shifts without an
     # explicit peak engine select the general MatEx-style pair.
     needs_general = shifts is not None and any(off > 0 for off in shifts)
+    arrays = peak_fn is None and peak_batch_fn is None and not needs_general
     peak_fn, peak_batch_fn = engine.resolve_peak_fns(
         peak_fn, peak_batch_fn, general=needs_general
     )
@@ -197,24 +221,22 @@ def fill_headroom(
     iterations = 0
 
     while peak.value <= theta_max - 1e-9 and iterations < max_iter:
-        best_j, best_gain_rate, best_rise, best_trial = -1, -np.inf, 0.0, None
+        best_j, best_gain_rate, best_rise, best_row = -1, -np.inf, 0.0, -1
         movers = np.where(movable & (ratios < 1 - 1e-12))[0]
-        trial_ratios, trial_scheds = [], []
-        for j in movers:
-            trial = ratios.copy()
-            trial[j] = min(1.0, trial[j] + unit_ratio)
-            trial_ratios.append(trial)
-            trial_scheds.append(rebuild(trial))
-        for j, trial, trial_sched, trial_peak in zip(
-            movers, trial_ratios, trial_scheds, peak_batch_fn(trial_scheds)
-        ):
+        trials = np.repeat(ratios[None, :], len(movers), axis=0)
+        for row, j in enumerate(movers):
+            trials[row, j] = min(1.0, ratios[j] + unit_ratio)
+        trial_peaks, trial_scheds = _price_trials(
+            engine, plan, trials, cycle, arrays, rebuild, peak_batch_fn
+        )
+        for row, (j, trial_peak) in enumerate(zip(movers, trial_peaks)):
             if trial_peak.value > theta_max + 1e-9:
                 continue
             rise = max(trial_peak.value - peak.value, 1e-15)
             gain_rate = (plan.v_high[j] - plan.v_low[j]) / rise
             if gain_rate > best_gain_rate:
                 best_j, best_gain_rate = int(j), gain_rate
-                best_rise, best_trial = rise, (trial, trial_sched, trial_peak)
+                best_rise, best_row = rise, row
         if best_j < 0:
             break  # no single-quantum move stays feasible
 
@@ -227,17 +249,23 @@ def fill_headroom(
                 int((1.0 - ratios[best_j]) / unit_ratio),
                 max(1, int(0.125 / unit_ratio)),
             )
-        if steps <= 1:
-            ratios, sched, peak = best_trial[0], best_trial[1], best_trial[2]
-        else:
+        accepted = None
+        if steps > 1:
             trial = ratios.copy()
             trial[best_j] = min(1.0, trial[best_j] + steps * unit_ratio)
             trial_sched = rebuild(trial)
             trial_peak = peak_fn(trial_sched)
             if trial_peak.value <= theta_max + 1e-9:
-                ratios, sched, peak = trial, trial_sched, trial_peak
-            else:
-                ratios, sched, peak = best_trial[0], best_trial[1], best_trial[2]
+                accepted = (trial, trial_sched, trial_peak)
+        if accepted is None:
+            # The single-quantum winner; array-priced trials get their
+            # schedule only now.
+            trial = trials[best_row]
+            trial_sched = (
+                rebuild(trial) if trial_scheds is None else trial_scheds[best_row]
+            )
+            accepted = (trial, trial_sched, trial_peaks[best_row])
+        ratios, sched, peak = accepted
         iterations += 1
 
     return ratios, sched, peak, iterations

@@ -41,6 +41,7 @@ import numpy as np
 
 from repro.obs import METRICS, TRACER, span as obs_span
 from repro.platform import Platform
+from repro.schedule.builders import TwoModeCandidates
 from repro.schedule.periodic import PeriodicSchedule
 from repro.thermal.batch import (
     peak_temperature_batch,
@@ -404,8 +405,14 @@ class ThermalEngine:
 
     def stepup_peak_batch(self, schedules, check: bool = False,
                           **kwargs) -> list[PeakResult]:
-        """Theorem-1 stable peaks of K step-up candidates in one pass."""
-        schedules = tuple(schedules)
+        """Theorem-1 stable peaks of K step-up candidates in one pass.
+
+        ``schedules`` is a sequence of schedules or a
+        :class:`~repro.schedule.builders.TwoModeCandidates`, which the
+        kernel prices from its arrays without building schedule objects.
+        """
+        if not isinstance(schedules, TwoModeCandidates):
+            schedules = tuple(schedules)
         self._count_batch(len(schedules))
         return stepup_peak_temperature_batch(
             self.model, schedules, check=check, **kwargs

@@ -6,6 +6,7 @@ from repro.schedule.builders import (
     from_core_timelines,
     constant_schedule,
     two_mode_schedule,
+    TwoModeCandidates,
     phase_schedule,
     random_schedule,
     random_stepup_schedule,
@@ -31,6 +32,7 @@ __all__ = [
     "from_core_timelines",
     "constant_schedule",
     "two_mode_schedule",
+    "TwoModeCandidates",
     "phase_schedule",
     "random_schedule",
     "random_stepup_schedule",

@@ -14,11 +14,17 @@ On top of it we provide the shapes the paper uses:
   offsets (Fig. 3's ``x_i`` sweep, PCO's shifts),
 * :func:`random_schedule` / :func:`random_stepup_schedule` — workload
   generators for the property tests and Figs. 4-5.
+
+:class:`TwoModeCandidates` is the array form of a *set* of
+:func:`two_mode_schedule` results sharing one mode pair: the candidate
+sets AO's m-scan and TPT loops price, described without building a
+schedule object per candidate.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from functools import cached_property
 
 import numpy as np
 
@@ -30,6 +36,7 @@ __all__ = [
     "from_core_timelines",
     "constant_schedule",
     "two_mode_schedule",
+    "TwoModeCandidates",
     "phase_schedule",
     "random_schedule",
     "random_stepup_schedule",
@@ -168,6 +175,127 @@ def two_mode_schedule(
             segs.append((period, v_low[c]))
         timelines.append(segs)
     return from_core_timelines(timelines)
+
+
+class TwoModeCandidates:
+    """K low-then-high two-mode schedules over one mode pair, as arrays.
+
+    Candidate ``k`` is ``two_mode_schedule(v_low, v_high, high_ratio[k],
+    cycle[k])``; :attr:`intervals` yields exactly its state intervals,
+    bit for bit, without building the schedule objects — the form AO's
+    m-scan and TPT/fill loops price (every candidate is step-up by
+    construction).  Inputs are validated once per batch, raising the
+    same :class:`~repro.errors.ScheduleError` conditions as
+    :func:`two_mode_schedule`.
+
+    Parameters
+    ----------
+    v_low, v_high:
+        ``(n,)`` per-core modes (scalars broadcast).
+    high_ratio:
+        ``(K, n)`` fraction of each candidate's period spent at ``v_high``.
+    cycle:
+        ``(K,)`` (or scalar) period of each candidate in seconds.
+    """
+
+    def __init__(self, v_low, v_high, high_ratio, cycle) -> None:
+        ratio = np.asarray(high_ratio, dtype=float)
+        if ratio.ndim != 2:
+            raise ScheduleError(f"high_ratio must be (K, n), got shape {ratio.shape}")
+        k, n = ratio.shape
+        v_low = np.broadcast_to(np.asarray(v_low, dtype=float), n).copy()
+        v_high = np.broadcast_to(np.asarray(v_high, dtype=float), n).copy()
+        cycle = np.broadcast_to(np.asarray(cycle, dtype=float), k).copy()
+        if np.any((ratio < -1e-12) | (ratio > 1 + 1e-12)):
+            raise ScheduleError(f"high_ratio must be within [0, 1], got {ratio}")
+        if np.any(v_high < v_low):
+            raise ScheduleError("two_mode_schedule requires v_high >= v_low per core")
+        if np.any(cycle <= 0):
+            raise ScheduleError(f"period must be > 0, got {cycle[cycle <= 0][0]}")
+        if not np.all(np.isfinite(cycle)):
+            raise ScheduleError(f"segment length must be >= {MIN_INTERVAL}, got "
+                                f"{cycle[~np.isfinite(cycle)][0]}")
+        self.v_low, self.v_high = v_low, v_high
+        self.high_ratio = np.clip(ratio, 0.0, 1.0)
+        self.cycle = cycle
+
+        # Per-core segments as two_mode_schedule emits them: low then
+        # high, each kept when at least MIN_INTERVAL long; a core with
+        # neither runs v_low for the whole cycle.
+        period = cycle[:, None]
+        t_high = self.high_ratio * period
+        t_low = period - t_high
+        has_low = t_low >= MIN_INTERVAL
+        has_high = t_high >= MIN_INTERVAL
+        # Only the voltages of emitted segments are checked, as there.
+        for volts, used in ((v_low, has_low | ~has_high), (v_high, has_high)):
+            vals = np.broadcast_to(volts, used.shape)[used]
+            bad = ~(np.isfinite(vals) & (vals >= 0))
+            if bad.any():
+                raise ScheduleError(f"segment voltage must be finite >= 0, got {vals[bad][0]}")
+        # from_core_timelines: each core's period is the sum of its
+        # segments, and core 0's is the reference the others must match.
+        both = has_low & has_high
+        core_period = np.where(
+            both, t_low + t_high,
+            np.where(has_low, t_low, np.where(has_high, t_high, period)),
+        )
+        ref = core_period[:, 0]
+        bad = np.abs(core_period - ref[:, None]) > 1e-9 * np.maximum(ref, 1.0)[:, None]
+        if bad.any():
+            kb, cb = np.argwhere(bad)[0]
+            raise ScheduleError(
+                f"core {cb} period {core_period[kb, cb]} != core 0 period {ref[kb]}"
+            )
+        self._t_low, self._has_low, self._has_high = t_low, has_low, has_high
+        self._both, self._ref = both, ref
+
+    def __len__(self) -> int:
+        return self.high_ratio.shape[0]
+
+    @cached_property
+    def intervals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(lengths (K, Z), volts (K, Z, n), z (K,))``, zero-padded to ``Z``.
+
+        Row ``k`` holds the ``z[k]`` state intervals of candidate ``k``
+        exactly as :func:`from_core_timelines` derives them: the union
+        of switch instants, cuts closer than ``MIN_INTERVAL`` to their
+        predecessor dropped, core 0's period as the period end.
+        """
+        k = len(self)
+        ref = self._ref[:, None]
+        # Switch instants: 0, the period and each two-segment core's
+        # low->high cut.  Cores without a cut contribute a duplicate of
+        # the period, which the near-duplicate filter drops like the set
+        # union does.
+        cuts = np.where(self._both, np.minimum(self._t_low, ref), ref)
+        grid = np.sort(np.concatenate([np.zeros((k, 1)), ref, cuts], axis=1), axis=1)
+        keep = np.ones(grid.shape, dtype=bool)
+        keep[:, 1:] = np.diff(grid, axis=1) > MIN_INTERVAL
+        grid = np.take_along_axis(grid, np.argsort(~keep, axis=1, kind="stable"), axis=1)
+        n_kept = keep.sum(axis=1)
+        # A chain of near-duplicate cuts can drop the period end itself;
+        # it is re-appended when the last kept instant falls short of it.
+        # (Dropping needs a dropped cut, so there is a free column.)
+        append = grid[np.arange(k), n_kept - 1] < self._ref - MIN_INTERVAL
+        grid[append, n_kept[append]] = self._ref[append]
+        z = n_kept + append - 1
+        z_max = int(z.max()) if k else 0
+
+        mask = np.arange(z_max)[None, :] < z[:, None]
+        lengths = np.where(mask, grid[:, 1 : z_max + 1] - grid[:, :z_max], 0.0)
+        mids = 0.5 * (grid[:, :z_max] + grid[:, 1 : z_max + 1])
+        # A two-segment core runs high once the midpoint passes its cut
+        # (searchsorted over the segment ends); a one-segment core holds
+        # its only mode.
+        high = np.where(
+            self._both[:, None, :],
+            mids[:, :, None] > self._t_low[:, None, :],
+            (self._has_high & ~self._has_low)[:, None, :],
+        )
+        volts = np.where(high, self.v_high, self.v_low)
+        volts = np.where(mask[:, :, None], volts, 0.0)
+        return lengths, volts, z
 
 
 def phase_schedule(

@@ -16,10 +16,13 @@ the eigenbasis of ``A``:
 So K candidates that differ only in their interval lengths and ``t_inf``
 vectors reduce to stacked elementwise recurrences over a ``(K, Z, n)``
 tensor plus two dense basis changes for the whole batch.  This module
-stacks candidate schedules (padding to the longest interval count — a
-zero-length interval is the identity), resolves all stable states at
+gathers candidates into arrays (padding to the longest interval count —
+a zero-length interval is the identity), resolves all stable states at
 once, and mirrors the scalar peak searches of :mod:`repro.thermal.peak`
 grid-for-grid so results match the scalar path to solver precision.
+Candidates come as schedule objects or, for the step-up kernel, as a
+:class:`~repro.schedule.builders.TwoModeCandidates`, which already is
+arrays.
 
 Entry points:
 
@@ -38,10 +41,9 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from repro.errors import ConfigurationError, ScheduleError
-from repro.schedule.periodic import PeriodicSchedule
+from repro.schedule.builders import TwoModeCandidates
 from repro.schedule.properties import is_step_up
 from repro.thermal.model import ThermalModel
 from repro.thermal.peak import PeakResult
@@ -98,8 +100,8 @@ class _Stack:
     recurrences pass through them unchanged.
     """
 
-    schedules: tuple[PeriodicSchedule, ...]
     z: np.ndarray  # (K,) true interval counts
+    periods: np.ndarray  # (K,) candidate periods
     lengths: np.ndarray  # (K, Z) interval lengths, 0-padded
     starts: np.ndarray  # (K, Z) interval start offsets within the period
     mask: np.ndarray  # (K, Z) True on real intervals
@@ -111,7 +113,7 @@ class _Stack:
 
     @property
     def k(self) -> int:
-        return len(self.schedules)
+        return self.lengths.shape[0]
 
     @property
     def n_pad(self) -> int:
@@ -126,29 +128,53 @@ class _Stack:
         return self.y_bound[:, :-1, :] - self.g
 
 
-def _solve_stack(model: ThermalModel, schedules) -> _Stack:
-    """Stack K schedules and resolve every stable status in one pass."""
-    schedules = tuple(schedules)
+def _gather(candidates) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Candidates as arrays: ``(lengths (K, Z), volts (K, Z, N), z (K,), periods (K,))``.
+
+    ``candidates`` is a sequence of schedules or a
+    :class:`~repro.schedule.builders.TwoModeCandidates`, which already
+    is arrays.  Periods are summed the way
+    :attr:`PeriodicSchedule.period` sums them, so both forms agree bit
+    for bit.
+    """
+    if isinstance(candidates, TwoModeCandidates):
+        lengths, volts, z = candidates.intervals
+        periods = np.array(
+            [float(sum(row[:zk])) for row, zk in zip(lengths.tolist(), z.tolist())]
+        )
+        return lengths, volts, z, periods
+    schedules = tuple(candidates)
     k = len(schedules)
-    n = model.n_nodes
-    lam = model.eigen.eigenvalues
     z = np.array([s.n_intervals for s in schedules], dtype=int)
     z_max = int(z.max()) if k else 0
-
     lengths = np.zeros((k, z_max))
-    t_inf = np.zeros((k, z_max, n))
-    # Candidate sets re-use a handful of mode vectors; dedup by the exact
-    # voltage tuple before touching the model's (rounding-keyed) LRU.
-    local: dict[tuple, np.ndarray] = {}
+    volts = np.zeros((k, z_max, schedules[0].n_cores if k else 0))
     for i, sched in enumerate(schedules):
-        for q, iv in enumerate(sched.intervals):
-            lengths[i, q] = iv.length
-            theta = local.get(iv.voltages)
-            if theta is None:
-                theta = model.steady_state(iv.voltages)
-                local[iv.voltages] = theta
-            t_inf[i, q] = theta
+        lengths[i, : z[i]] = sched.lengths
+        volts[i, : z[i]] = sched.voltage_matrix
+    return lengths, volts, z, np.array([s.period for s in schedules])
+
+
+def _solve_arrays(model: ThermalModel, lengths, volts, z, periods) -> _Stack:
+    """Resolve the stable status of K stacked candidates in one pass."""
+    k, z_max = lengths.shape
+    n = model.n_nodes
+    lam = model.eigen.eigenvalues
     mask = np.arange(z_max)[None, :] < z[:, None]
+
+    # Candidate sets re-use a handful of mode vectors: resolve each
+    # distinct voltage row once, in order of first appearance, before
+    # touching the model's (rounding-keyed) LRU.
+    t_inf = np.zeros((k, z_max, n))
+    rows = volts[mask]
+    if len(rows):
+        uniq, first, inverse = np.unique(
+            rows, axis=0, return_index=True, return_inverse=True
+        )
+        theta = np.empty((len(uniq), n))
+        for j in np.argsort(first):
+            theta[j] = model.steady_state(uniq[j])
+        t_inf[mask] = theta[inverse.reshape(-1)]
     starts = np.concatenate(
         [np.zeros((k, 1)), np.cumsum(lengths, axis=1)[:, :-1]], axis=1
     ) if z_max else np.zeros((k, 0))
@@ -172,8 +198,8 @@ def _solve_stack(model: ThermalModel, schedules) -> _Stack:
     theta_bound = y_bound @ model.eigen.w.T
 
     return _Stack(
-        schedules=schedules,
         z=z,
+        periods=periods,
         lengths=lengths,
         starts=starts,
         mask=mask,
@@ -183,6 +209,11 @@ def _solve_stack(model: ThermalModel, schedules) -> _Stack:
         y_bound=y_bound,
         theta_bound=theta_bound,
     )
+
+
+def _solve_stack(model: ThermalModel, candidates) -> _Stack:
+    """Gather K candidates into arrays and resolve every stable status."""
+    return _solve_arrays(model, *_gather(candidates))
 
 
 def periodic_steady_state_batch(
@@ -207,9 +238,10 @@ def periodic_steady_state_batch(
     a ``(K, max_z, n)`` tensor instead of K dense monodromy chains and K
     linear solves.
     """
+    schedules = tuple(schedules)
     stack = _solve_stack(model, schedules)
     out = []
-    for i, sched in enumerate(stack.schedules):
+    for i, sched in enumerate(schedules):
         out.append(
             PeriodicSolution(
                 schedule=sched,
@@ -269,17 +301,20 @@ def stepup_peak_temperature_batch(
     Mirrors :func:`repro.thermal.peak.stepup_peak_temperature` candidate
     by candidate — period-end boundary temperatures plus the vectorized
     wrap-continuation grid — with the grid evaluated for the whole batch
-    at once.
+    at once.  ``schedules`` is a sequence of schedules or a
+    :class:`~repro.schedule.builders.TwoModeCandidates`, priced straight
+    from its arrays (step-up by construction, so never checked).
     """
-    schedules = tuple(schedules)
-    if check:
-        for sched in schedules:
-            if not is_step_up(sched):
-                raise ScheduleError(
-                    "stepup_peak_temperature requires a step-up schedule; "
-                    "use peak_temperature for arbitrary schedules"
-                )
-    if not schedules:
+    if not isinstance(schedules, TwoModeCandidates):
+        schedules = tuple(schedules)
+        if check:
+            for sched in schedules:
+                if not is_step_up(sched):
+                    raise ScheduleError(
+                        "stepup_peak_temperature requires a step-up schedule; "
+                        "use peak_temperature for arbitrary schedules"
+                    )
+    if not len(schedules):
         return []
     stack = _solve_stack(model, schedules)
     cores = model.network.core_nodes
@@ -289,7 +324,7 @@ def stepup_peak_temperature_batch(
     core_peaks = end.copy()
     best_core = np.argmax(end, axis=1)
     best_val = end[np.arange(k), best_core]
-    best_time = np.array([s.period for s in schedules])
+    best_time = stack.periods.copy()
 
     if wrap_refine:
         for chunk, times, temps in _grid_chunks(stack, model, grid):
@@ -342,6 +377,8 @@ def _refine_interval_best(
     derivative changes sign around its own grid argmax, keeping strict
     improvements in core order.  Padded intervals yield ``None``.
     """
+    from scipy.optimize import brentq
+
     cores = model.network.core_nodes
     lam = model.eigen.eigenvalues
     w_cores = model.eigen.w[cores, :]

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from repro.errors import ConvergenceError
 from repro.floorplan.library import floorplan_2x1, floorplan_3x1
@@ -211,6 +210,8 @@ def calibrate(
         If the optimizer fails outright or the level anchors are
         non-physical.
     """
+    from scipy.optimize import least_squares
+
     if power is None:
         power = PowerModel()
     if anchors is None:

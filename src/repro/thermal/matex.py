@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from repro.errors import ThermalModelError
 from repro.thermal.model import ThermalModel
@@ -113,6 +112,8 @@ class IntervalSolution:
         best_time = float(times[ti])
 
         if refine:
+            from scipy.optimize import brentq
+
             # Refine every node near its own best grid point: a sign change of
             # the derivative between neighbouring samples brackets an extremum.
             for local, node in enumerate(nodes):

@@ -12,7 +12,6 @@ suite.
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from repro.errors import ThermalModelError
 from repro.schedule.periodic import PeriodicSchedule
@@ -38,6 +37,8 @@ def reference_simulate(
     state interval) so the piecewise-constant forcing never confuses the
     step controller.
     """
+    from scipy.integrate import solve_ivp
+
     if periods < 1:
         raise ThermalModelError(f"periods must be >= 1, got {periods}")
     if theta0 is None:

@@ -1,17 +1,29 @@
 """Batched stable-status/peak engine vs the scalar paths, to 1e-9."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro
 from repro.algorithms.continuous import continuous_assignment
+from repro.algorithms.exs import exs_pruned
 from repro.algorithms.oscillation import choose_m, plan_modes
 from repro.algorithms.tpt import enforce_threshold, fill_headroom
+from repro.engine import ThermalEngine
 from repro.errors import ScheduleError, ThermalModelError
 from repro.schedule.builders import (
+    TwoModeCandidates,
     constant_schedule,
     random_schedule,
     random_stepup_schedule,
+    two_mode_schedule,
 )
+from repro.schedule.intervals import MIN_INTERVAL
+from repro.schedule.periodic import PeriodicSchedule
 from repro.thermal.batch import (
     peak_temperature_batch,
     periodic_steady_state_batch,
@@ -267,3 +279,141 @@ class TestConsumersUnchanged:
         assert it_b == it_s
         np.testing.assert_array_equal(r_b, r_s)
         assert sched_b.intervals == sched_s.intervals
+
+
+@st.composite
+def candidate_sets(draw):
+    """Two-mode candidate sets hitting every degenerate case of the builder.
+
+    Ratios at exactly 0/1, within ``MIN_INTERVAL`` of them, equal modes,
+    cut instants of different cores within ``MIN_INTERVAL`` of each
+    other, and a different cycle per candidate.
+    """
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(1, 4))
+    levels = st.sampled_from((0.0, 0.6, 0.8, 1.0, 1.2))
+    v_low = np.array(draw(st.lists(levels, min_size=n, max_size=n)))
+    v_high = v_low + np.array(
+        draw(st.lists(st.sampled_from((0.0, 0.2, 0.5)), min_size=n, max_size=n))
+    )
+    cycles = np.array(
+        draw(st.lists(st.floats(1e-4, 1.0), min_size=k, max_size=k))
+    )
+    ratios = np.empty((k, n))
+    for row in range(k):
+        for c in range(n):
+            kind = draw(st.sampled_from(("free", "edge", "near-edge", "near-cut")))
+            if kind == "free" or (kind == "near-cut" and c == 0):
+                r = draw(st.floats(0.0, 1.0))
+            elif kind == "edge":
+                r = draw(st.sampled_from((0.0, 1.0)))
+            elif kind == "near-edge":
+                # One segment within a few MIN_INTERVAL of vanishing.
+                tiny = draw(st.sampled_from((0.3, 1.0, 1.7))) * MIN_INTERVAL
+                tiny /= cycles[row]
+                r = draw(st.sampled_from((tiny, 1.0 - tiny)))
+            else:
+                off = draw(st.sampled_from((0.0, 0.4, 1.0, 2.5))) * MIN_INTERVAL
+                r = min(max(ratios[row, 0] + off / cycles[row], 0.0), 1.0)
+            ratios[row, c] = r
+    return v_low, v_high, ratios, cycles
+
+
+class TestTwoModeCandidates:
+    """The array candidate form vs two_mode_schedule, bit for bit."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(candidate_sets())
+    def test_intervals_match_builder_bitwise(self, data):
+        v_low, v_high, ratios, cycles = data
+        cands = TwoModeCandidates(v_low, v_high, ratios, cycles)
+        lengths, volts, z = cands.intervals
+        assert len(cands) == len(ratios)
+        for k in range(len(cands)):
+            sched = two_mode_schedule(v_low, v_high, ratios[k], cycles[k])
+            assert z[k] == sched.n_intervals
+            assert lengths[k, : z[k]].tobytes() == sched.lengths.tobytes()
+            assert volts[k, : z[k]].tobytes() == sched.voltage_matrix.tobytes()
+            assert not lengths[k, z[k]:].any() and not volts[k, z[k]:].any()
+
+    @pytest.mark.parametrize(
+        "v_low, v_high, ratio, cycle",
+        [
+            ([0.6, 0.8], [1.0, 1.0], [0.5, 1.2], 0.01),  # ratio above 1
+            ([0.6, 0.8], [1.0, 1.0], [-0.1, 0.5], 0.01),  # ratio below 0
+            ([0.6, 1.2], [1.0, 1.0], [0.5, 0.5], 0.01),  # v_high < v_low
+            ([0.6, 0.8], [1.0, 1.0], [0.5, 0.5], 0.0),  # empty period
+            ([-0.6, 0.8], [1.0, 1.0], [0.5, 0.5], 0.01),  # negative low mode
+        ],
+    )
+    def test_rejects_what_the_builder_rejects(self, v_low, v_high, ratio, cycle):
+        with pytest.raises(ScheduleError):
+            two_mode_schedule(v_low, v_high, ratio, cycle)
+        with pytest.raises(ScheduleError):
+            TwoModeCandidates(v_low, v_high, [ratio], [cycle])
+
+    def test_unused_mode_is_not_validated(self):
+        # A negative low mode that no segment uses passes, as in the builder.
+        two_mode_schedule([-0.6], [1.0], [1.0], 0.01)
+        TwoModeCandidates([-0.6], [1.0], [[1.0]], [0.01])
+
+    def test_engine_prices_arrays_like_schedules(self, platform3, rng):
+        ratios = rng.uniform(0.0, 1.0, size=(12, 3))
+        ratios[0] = 0.0
+        ratios[1] = 1.0
+        cycles = 0.02 / np.arange(1, 13)
+        v_low, v_high = np.array([0.6, 0.8, 1.0]), np.array([0.8, 1.0, 1.3])
+        cands = TwoModeCandidates(v_low, v_high, ratios, cycles)
+        scheds = [
+            two_mode_schedule(v_low, v_high, r, c) for r, c in zip(ratios, cycles)
+        ]
+        engine = ThermalEngine(platform3)
+        from_arrays = engine.stepup_peak_batch(cands)
+        from_schedules = engine.stepup_peak_batch(scheds)
+        assert engine.stats().batch_candidates == 24
+        for a, b in zip(from_arrays, from_schedules, strict=True):
+            assert (a.value, a.core, a.time) == (b.value, b.core, b.time)
+            assert a.core_peaks.tobytes() == b.core_peaks.tobytes()
+
+    def test_empty_set(self, platform3):
+        engine = ThermalEngine(platform3)
+        cands = TwoModeCandidates([0.6, 0.8, 1.0], [0.8, 1.0, 1.3],
+                                  np.zeros((0, 3)), 0.02)
+        assert len(cands) == 0
+        assert engine.stepup_peak_batch(cands) == []
+        assert engine.stats().batch_calls == 1
+
+    def test_choose_m_builds_one_schedule(self, platform3, monkeypatch):
+        cont = continuous_assignment(platform3)
+        plan = plan_modes(platform3, cont.voltages)
+        built = []
+        original = PeriodicSchedule.__post_init__
+
+        def counting(self):
+            built.append(self)
+            original(self)
+
+        monkeypatch.setattr(PeriodicSchedule, "__post_init__", counting)
+        m_opt, sched, history = choose_m(platform3, plan, 0.02, m_cap=64)
+        assert len(history) > 1
+        assert built == [sched]
+
+
+class TestSolverMemory:
+    """Solvers leave no reference cycle that pins a dead thermal model."""
+
+    @pytest.mark.parametrize("solver", ["AO", "PCO", "EXS-pruned"])
+    def test_model_freed_without_gc(self, solver):
+        gc.collect()
+        gc.disable()
+        try:
+            engine = ThermalEngine(repro.load_platform("paper", n_cores=3))
+            model = weakref.ref(engine.model)
+            if solver == "EXS-pruned":
+                result = exs_pruned(engine)
+            else:
+                result = repro.guarded_solve(solver, engine)
+            del engine, result
+            assert model() is None
+        finally:
+            gc.enable()

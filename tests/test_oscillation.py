@@ -5,6 +5,7 @@ import pytest
 
 from repro.algorithms.continuous import continuous_assignment
 from repro.algorithms.oscillation import (
+    _adjusted_ratio_rows,
     adjusted_high_ratios,
     build_oscillating_schedule,
     choose_m,
@@ -68,6 +69,24 @@ class TestAdjustedRatios:
             delta = p.overhead.delta(plan.v_low[i], plan.v_high[i])
             expected = min(1.0, plan.high_ratio[i] + m * delta / period)
             assert ratios[i] == pytest.approx(expected)
+
+    def test_scan_rows_equal_per_m_loop(self, planned):
+        # The m-scan prices every m's ratios at once; each row must equal
+        # the per-core loop bit for bit, clamping at 1 included.
+        p, plan = planned
+        period = 0.02
+        ms = [0, 1, 2, 7, 64, 500, 5000, 50000]
+        rows = _adjusted_ratio_rows(p, plan, ms, period)
+        clamped = False
+        for m, row in zip(ms, rows):
+            expected = plan.high_ratio.copy()
+            if m > 0:
+                for i in np.where(plan.oscillating)[0]:
+                    delta = p.overhead.delta(plan.v_low[i], plan.v_high[i])
+                    expected[i] = min(1.0, expected[i] + m * delta / period)
+            assert row.tobytes() == expected.tobytes()
+            clamped |= bool(np.any(row == 1.0) and m > 0)
+        assert clamped
 
 
 class TestMaxMBound:

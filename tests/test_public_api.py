@@ -246,3 +246,32 @@ class TestScalingLayering:
             "repro.scaling must not import solver/experiment layers: "
             + ", ".join(offenders)
         )
+
+
+class TestImportCost:
+    """``import repro`` loads only the scipy submodules it uses at once.
+
+    ``scipy.optimize`` (root finding, calibration fits) and
+    ``scipy.integrate`` (the reference oracle) are imported inside the
+    functions that call them; loading them eagerly costs a fifth of the
+    import time of every process.
+    """
+
+    def test_import_leaves_optimize_and_integrate_unloaded(self):
+        import subprocess
+        import sys
+
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); import repro; "
+            "bad = [m for m in sys.modules "
+            "if m.startswith(('scipy.optimize', 'scipy.integrate'))]; "
+            "assert not bad, bad"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, src],
+            env={"PATH": "/usr/bin:/bin"},
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
