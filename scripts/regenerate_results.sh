@@ -3,15 +3,16 @@
 # Usage: scripts/regenerate_results.sh [python]
 set -euo pipefail
 cd "$(dirname "$0")/.."
+export PYTHONPATH="$PWD/src${PYTHONPATH:+:$PYTHONPATH}"
 PY="${1:-python3}"
 mkdir -p results
 for exp in table2 table3 fig2 fig4 fig5 fig6 fig7 table5 headline tsp reactive; do
     echo "== $exp =="
-    "$PY" -c "from repro.cli import main; import sys; sys.exit(main(['$exp']))" \
+    "$PY" -c "from repro.cli import main; import sys; sys.exit(main(['run', '$exp']))" \
         | tee "results/$exp.txt"
 done
 # fig3 at a finer sweep than the default benchmark granularity.
-"$PY" -c "from repro.cli import main; import sys; sys.exit(main(['fig3', '-o', 'step=0.2']))" \
+"$PY" -c "from repro.cli import main; import sys; sys.exit(main(['run', 'fig3', '-o', 'step=0.2']))" \
     | tee results/fig3.txt
 # scaling writes both the JSON headline and the rendered figure.
 echo "== scaling =="

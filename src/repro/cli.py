@@ -13,7 +13,6 @@
                 [--max-batch N]
     repro stats <run-dir>
     repro list [experiments|solvers|platforms]
-    repro legacy <experiment> ...   (deprecated alias for `run`)
 
 ``repro run`` regenerates a table/figure of the paper; ``repro solve``
 runs one registered scheduler on a freshly built paper platform and
@@ -31,10 +30,8 @@ content-addressed schedule cache, and the request coalescer;
 ``repro stats`` summarizes a journaled run directory (unit statuses,
 run-level engine counters, certificate tallies, per-span wall-time
 table); ``repro list`` enumerates the experiment, solver and platform
-registries.  The historical single-positional form
-(``repro fig6 --quick``) is retired: a bare experiment id is now an
-error, and ``repro legacy fig6 --quick`` keeps the old spelling alive
-one release longer behind an explicit :class:`DeprecationWarning`.
+registries.  A bare experiment id (``repro fig6``) is an error; spell
+it ``repro run fig6``.
 
 ``--trace PATH`` streams observability spans (:mod:`repro.obs`) as JSON
 Lines: every traced region of the process (experiment, runner, solver
@@ -62,7 +59,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-import warnings
 
 from repro.experiments.registry import EXPERIMENTS, run_experiment
 
@@ -611,23 +607,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_legacy(args: argparse.Namespace) -> int:
-    warnings.warn(
-        "the bare `repro <experiment>` form is deprecated; "
-        "use `repro run <experiment>`",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    print(
-        "[deprecated: `repro legacy` is an alias for `repro run` and will "
-        "be removed; switch to `repro run`]",
-        file=sys.stderr,
-    )
-    return _cmd_run(args)
-
-
-def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns a process exit code."""
+def build_parser() -> argparse.ArgumentParser:
+    """The ``repro`` argument parser, with every subcommand registered."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -638,77 +619,68 @@ def main(argv: list[str] | None = None) -> int:
     )
     sub = parser.add_subparsers(dest="command")
 
-    def add_run_arguments(p_run: argparse.ArgumentParser) -> None:
-        p_run.add_argument("experiment", help="experiment id (see 'repro list')")
-        p_run.add_argument(
-            "--quick",
-            action="store_true",
-            help="run a scale-reduced version (seconds instead of minutes)",
-        )
-        _add_option_argument(p_run, "experiment")
-        p_run.add_argument(
-            "--csv",
-            metavar="PATH",
-            help=(
-                "additionally write the result grid as CSV "
-                "(experiments exposing a grid only)"
-            ),
-        )
-        p_run.add_argument(
-            "--trace",
-            metavar="PATH",
-            help=(
-                "stream observability spans to PATH as JSON Lines "
-                "(includes per-unit spans recovered from the journal)"
-            ),
-        )
-        runner_group = p_run.add_argument_group(
-            "sharded runner (grid experiments only)"
-        )
-        runner_group.add_argument(
-            "--parallel",
-            action="store_true",
-            help="fan work units out over worker processes",
-        )
-        runner_group.add_argument(
-            "--workers",
-            type=int,
-            metavar="N",
-            help="worker process count (implies --parallel; default: CPU count)",
-        )
-        runner_group.add_argument(
-            "--timeout",
-            type=float,
-            metavar="S",
-            help="per-unit wall-clock deadline in seconds (parallel mode)",
-        )
-        runner_group.add_argument(
-            "--retries",
-            type=int,
-            metavar="N",
-            help="retries per failed unit before its error row is final (default 1)",
-        )
-        runner_group.add_argument(
-            "--run-dir",
-            metavar="DIR",
-            help="journal finished units into DIR (enables later --resume)",
-        )
-        runner_group.add_argument(
-            "--resume",
-            metavar="DIR",
-            help="continue an interrupted run from DIR, re-running only missing units",
-        )
-
     p_run = sub.add_parser("run", help="regenerate one table/figure of the paper")
-    add_run_arguments(p_run)
-    p_run.set_defaults(func=_cmd_run)
-
-    p_legacy = sub.add_parser(
-        "legacy",
-        help="deprecated alias for 'run' (the historical bare-experiment form)",
+    p_run.add_argument("experiment", help="experiment id (see 'repro list')")
+    p_run.add_argument(
+        "--quick",
+        action="store_true",
+        help="run a scale-reduced version (seconds instead of minutes)",
     )
-    add_run_arguments(p_legacy)
-    p_legacy.set_defaults(func=_cmd_legacy)
+    _add_option_argument(p_run, "experiment")
+    p_run.add_argument(
+        "--csv",
+        metavar="PATH",
+        help=(
+            "additionally write the result grid as CSV "
+            "(experiments exposing a grid only)"
+        ),
+    )
+    p_run.add_argument(
+        "--trace",
+        metavar="PATH",
+        help=(
+            "stream observability spans to PATH as JSON Lines "
+            "(includes per-unit spans recovered from the journal)"
+        ),
+    )
+    runner_group = p_run.add_argument_group(
+        "sharded runner (grid experiments only)"
+    )
+    runner_group.add_argument(
+        "--parallel",
+        action="store_true",
+        help="fan work units out over worker processes",
+    )
+    runner_group.add_argument(
+        "--workers",
+        type=int,
+        metavar="N",
+        help="worker process count (implies --parallel; default: CPU count)",
+    )
+    runner_group.add_argument(
+        "--timeout",
+        type=float,
+        metavar="S",
+        help="per-unit wall-clock deadline in seconds (parallel mode)",
+    )
+    runner_group.add_argument(
+        "--retries",
+        type=int,
+        metavar="N",
+        help="retries per failed unit before its error row is final (default 1)",
+    )
+    runner_group.add_argument(
+        "--run-dir",
+        metavar="DIR",
+        help="journal finished units into DIR (enables later --resume)",
+    )
+    runner_group.add_argument(
+        "--resume",
+        metavar="DIR",
+        help="continue an interrupted run from DIR, re-running only missing units",
+    )
+
+    p_run.set_defaults(func=_cmd_run)
 
     p_solve = sub.add_parser(
         "solve", help="run one registered scheduler on a paper platform"
@@ -830,7 +802,12 @@ def main(argv: list[str] | None = None) -> int:
         help="restrict the listing to one registry (default: all)",
     )
     p_list.set_defaults(func=_cmd_list)
+    return parser
 
+
+def main(argv: list[str] | None = None) -> int:
+    """CLI entry point; returns a process exit code."""
+    parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     args = parser.parse_args(argv)
     if getattr(args, "func", None) is None:

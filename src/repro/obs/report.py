@@ -116,18 +116,10 @@ class RunDirSummary:
 
     @staticmethod
     def _grid_chunk_line() -> str:
-        """The dense-scan chunk budget in effect (env override surfaced)."""
-        from repro.errors import ConfigurationError
-        from repro.thermal.batch import GRID_CHUNK_ELEMENTS, grid_chunk_elements
+        """The dense-scan chunk budget of the batched thermal kernels."""
+        from repro.thermal.batch import GRID_CHUNK_ELEMENTS
 
-        try:
-            budget = grid_chunk_elements()
-        except ConfigurationError as exc:
-            return f"  grid chunk budget: INVALID ({exc})"
-        line = f"  grid chunk budget: {budget} elements"
-        if budget != GRID_CHUNK_ELEMENTS:
-            line += " (REPRO_GRID_CHUNK_ELEMENTS override)"
-        return line
+        return f"  grid chunk budget: {GRID_CHUNK_ELEMENTS} elements"
 
     def format(self) -> str:
         created = self.manifest.get("created_at", "?")

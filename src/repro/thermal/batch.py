@@ -33,16 +33,19 @@ Entry points:
 * :func:`peak_temperature_batch` — the general MatEx-style extrema
   search for arbitrary schedules, with the step-up fast path applied per
   candidate.
+
+These are the only batched thermal kernels: the cross-platform entry
+points of :mod:`repro.thermal.grid` group their rows by model and call
+them once per model.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ConfigurationError, ScheduleError
+from repro.errors import ScheduleError
 from repro.schedule.builders import TwoModeCandidates
 from repro.schedule.properties import is_step_up
 from repro.thermal.model import ThermalModel
@@ -53,42 +56,15 @@ __all__ = [
     "periodic_steady_state_batch",
     "stepup_peak_temperature_batch",
     "peak_temperature_batch",
-    "grid_chunk_elements",
 ]
 
 #: Upper bound on the elements of one dense grid tensor ``(K, Z, G, n)``;
 #: larger batches are scanned in K-chunks to bound peak memory (~64 MB).
-#: Override per run with ``REPRO_GRID_CHUNK_ELEMENTS`` (see
-#: :func:`grid_chunk_elements`).
 GRID_CHUNK_ELEMENTS = 8_000_000
 
-
-def grid_chunk_elements() -> int:
-    """The effective chunk budget, honoring ``REPRO_GRID_CHUNK_ELEMENTS``.
-
-    The env override lets memory-constrained runs (or stress tests
-    forcing many tiny chunks) tune peak memory without editing code.
-    ``repro stats`` surfaces the effective value per run.
-
-    Raises
-    ------
-    ConfigurationError
-        If the override is set but not a positive integer.
-    """
-    raw = os.environ.get("REPRO_GRID_CHUNK_ELEMENTS", "").strip()
-    if not raw:
-        return GRID_CHUNK_ELEMENTS
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ConfigurationError(
-            f"REPRO_GRID_CHUNK_ELEMENTS must be an integer, got {raw!r}"
-        ) from exc
-    if value <= 0:
-        raise ConfigurationError(
-            f"REPRO_GRID_CHUNK_ELEMENTS must be positive, got {value}"
-        )
-    return value
+#: Bisection halvings of an extremum bracket: enough to pin the root of
+#: the derivative to ~2^-64 of the bracket width.
+_REFINE_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -163,17 +139,17 @@ def _solve_arrays(model: ThermalModel, lengths, volts, z, periods) -> _Stack:
     mask = np.arange(z_max)[None, :] < z[:, None]
 
     # Candidate sets re-use a handful of mode vectors: resolve each
-    # distinct voltage row once, in order of first appearance, before
-    # touching the model's (rounding-keyed) LRU.
+    # distinct voltage row once, in order of first appearance, through
+    # the model's LRU-aware many-vector path.
     t_inf = np.zeros((k, z_max, n))
     rows = volts[mask]
     if len(rows):
         uniq, first, inverse = np.unique(
             rows, axis=0, return_index=True, return_inverse=True
         )
+        order = np.argsort(first)
         theta = np.empty((len(uniq), n))
-        for j in np.argsort(first):
-            theta[j] = model.steady_state(uniq[j])
+        theta[order] = model.steady_state_many(uniq[order])
         t_inf[mask] = theta[inverse.reshape(-1)]
     starts = np.concatenate(
         [np.zeros((k, 1)), np.cumsum(lengths, axis=1)[:, :-1]], axis=1
@@ -282,7 +258,7 @@ def _grid_scan(
 def _grid_chunks(stack: _Stack, model: ThermalModel, grid: int):
     """Yield ``(chunk_slice, times, temps)`` bounding peak memory."""
     per_k = max(stack.n_pad * max(int(grid), 2) * model.n_nodes, 1)
-    step = max(1, grid_chunk_elements() // per_k)
+    step = max(1, GRID_CHUNK_ELEMENTS // per_k)
     for lo in range(0, stack.k, step):
         chunk = slice(lo, min(lo + step, stack.k))
         times, temps = _grid_scan(stack, model, grid, chunk)
@@ -363,27 +339,46 @@ def stepup_peak_temperature_batch(
     ]
 
 
+def _grid_winners(
+    times: np.ndarray, temps: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dense-grid maximum of every (candidate, interval) cell.
+
+    Returns ``(value, core, local time)``, each ``(k, Z)``.
+    """
+    kc, zc, gc, cc = temps.shape
+    flat = temps.reshape(kc, zc, -1)
+    arg = flat.argmax(axis=2)
+    gi, ci = np.unravel_index(arg, (gc, cc))
+    val = np.take_along_axis(flat, arg[:, :, None], axis=2)[:, :, 0]
+    when = np.take_along_axis(times, gi[:, :, None], axis=2)[:, :, 0]
+    return val, ci, when
+
+
 def _refine_interval_best(
     stack: _Stack,
     model: ThermalModel,
     times: np.ndarray,
     temps: np.ndarray,
     chunk: slice,
-) -> list[list[tuple[float, int, float] | None]]:
-    """Per-interval best (value, core, local time), Brent-refined.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-interval best ``(value, core, local time)``, each ``(k, Z)``.
 
     Mirrors :meth:`repro.thermal.matex.IntervalSolution.peak`: start from
     the interval's dense-grid maximum, then polish every core whose
     derivative changes sign around its own grid argmax, keeping strict
-    improvements in core order.  Padded intervals yield ``None``.
+    improvements in core order.  All bracketed cores of the chunk refine
+    at once by bisection: the derivative crosses + -> - inside
+    ``[t_lo, t_hi]``, and the temperature is flat at the root, so the
+    residual time error stays far below the 1e-9 parity budget the
+    scalar Brent route is held to.
     """
-    from scipy.optimize import brentq
-
     cores = model.network.core_nodes
     lam = model.eigen.eigenvalues
     w_cores = model.eigen.w[cores, :]
     modal = stack.modal()[chunk]
     kc, zc, gc, cc = temps.shape
+    val, core, when = _grid_winners(times, temps)
 
     # Bracket candidates: each core's own grid argmax and its neighbours.
     j_star = np.argmax(temps, axis=2)  # (k, Z, C)
@@ -399,40 +394,38 @@ def _refine_interval_best(
     modal_c = w_cores[None, None, :, :] * modal[:, :, None, :]  # (k, Z, C, n)
     d_lo = np.sum(modal_c * lam * np.exp(lam * t_lo[..., None]), axis=3)
     d_hi = np.sum(modal_c * lam * np.exp(lam * t_hi[..., None]), axis=3)
-    needs_brent = (d_lo > 0) & (d_hi < 0) & (t_hi > t_lo) & stack.mask[chunk][:, :, None]
+    bracketed = (
+        (d_lo > 0) & (d_hi < 0) & (t_hi > t_lo) & stack.mask[chunk][:, :, None]
+    )
 
-    # Grid winner of every (candidate, interval) cell in one shot.
-    flat_iq = temps.reshape(kc, zc, -1).argmax(axis=2)  # (k, Z)
-    gi_all, ci_all = np.unravel_index(flat_iq, (gc, cc))
-    val_all = np.take_along_axis(
-        temps.reshape(kc, zc, -1), flat_iq[:, :, None], axis=2
-    )[:, :, 0]
-    t_all = np.take_along_axis(times, gi_all[:, :, None], axis=2)[:, :, 0]
-
-    out: list[list[tuple[float, int, float] | None]] = []
-    for i in range(kc):
-        per_interval: list[tuple[float, int, float] | None] = []
-        for q in range(zc):
-            if not stack.mask[chunk][i, q]:
-                per_interval.append(None)
-                continue
-            best = (float(val_all[i, q]), int(ci_all[i, q]), float(t_all[i, q]))
-            for c in np.where(needs_brent[i, q])[0]:
-                coeffs = modal_c[i, q, c]
-                t_star = brentq(
-                    lambda t: float(np.sum(coeffs * lam * np.exp(lam * t))),
-                    t_lo[i, q, c],
-                    t_hi[i, q, c],
-                )
-                val = float(
-                    stack.t_inf[chunk][i, q, cores[c]]
-                    + np.sum(coeffs * np.exp(lam * t_star))
-                )
-                if val > best[0]:
-                    best = (val, int(c), float(t_star))
-            per_interval.append(best)
-        out.append(per_interval)
-    return out
+    ri, qi, ci = np.nonzero(bracketed)
+    if ri.size:
+        coeffs = modal_c[ri, qi, ci]  # (N, n)
+        d_coeffs = coeffs * lam
+        lo = t_lo[ri, qi, ci]
+        hi = t_hi[ri, qi, ci]
+        for _ in range(_REFINE_STEPS):
+            mid = 0.5 * (lo + hi)
+            rising = np.einsum("kn,kn->k", d_coeffs, np.exp(lam * mid[:, None])) > 0
+            lo = np.where(rising, mid, lo)
+            hi = np.where(rising, hi, mid)
+        t_star = 0.5 * (lo + hi)
+        refined = stack.t_inf[chunk][ri, qi, cores[ci]] + np.einsum(
+            "kn,kn->k", coeffs, np.exp(lam * t_star[:, None])
+        )
+        # Strict improvement in core order == the first core holding the
+        # largest refined value, if that value beats the grid maximum.
+        cand_val = np.full((kc, zc, cc), -np.inf)
+        cand_t = np.zeros((kc, zc, cc))
+        cand_val[ri, qi, ci] = refined
+        cand_t[ri, qi, ci] = t_star
+        c_best = cand_val.argmax(axis=2)[:, :, None]
+        best = np.take_along_axis(cand_val, c_best, axis=2)[:, :, 0]
+        better = best > val
+        val = np.where(better, best, val)
+        core = np.where(better, c_best[:, :, 0], core)
+        when = np.where(better, np.take_along_axis(cand_t, c_best, axis=2)[:, :, 0], when)
+    return val, core, when
 
 
 def peak_temperature_batch(
@@ -446,8 +439,8 @@ def peak_temperature_batch(
 
     The batched counterpart of :func:`repro.thermal.peak.peak_temperature`:
     candidates that are step-up take the Theorem-1 fast path (batched),
-    the rest get the dense-grid + Brent extrema search with the grids for
-    the whole batch evaluated at once.  Results land in input order.
+    the rest get the dense-grid + bisection extrema search with the grids
+    for the whole batch evaluated at once.  Results land in input order.
     """
     schedules = tuple(schedules)
     if not schedules:
@@ -456,8 +449,9 @@ def peak_temperature_batch(
     results: list[PeakResult | None] = [None] * len(schedules)
     general_idx = list(range(len(schedules)))
     if stepup_fast_path:
-        stepup_idx = [i for i in general_idx if is_step_up(schedules[i])]
-        general_idx = [i for i in general_idx if i not in set(stepup_idx)]
+        stepup = [is_step_up(s) for s in schedules]
+        general_idx = [i for i in general_idx if not stepup[i]]
+        stepup_idx = [i for i in range(len(schedules)) if stepup[i]]
         if stepup_idx:
             fast = stepup_peak_temperature_batch(
                 model, [schedules[i] for i in stepup_idx], check=False
@@ -467,46 +461,31 @@ def peak_temperature_batch(
     if not general_idx:
         return results  # type: ignore[return-value]
 
-    subset = tuple(schedules[i] for i in general_idx)
-    stack = _solve_stack(model, subset)
-    n_cores = model.network.core_nodes.shape[0]
+    stack = _solve_stack(model, [schedules[i] for i in general_idx])
+    on_core = np.arange(model.network.core_nodes.shape[0])
 
     for chunk, times, temps in _grid_chunks(stack, model, grid_per_interval):
-        masked = np.where(stack.mask[chunk][:, :, None, None], temps, -np.inf)
-        grid_core_peaks = masked.max(axis=2)  # (k, Z, C)
+        mask = stack.mask[chunk]
         if refine:
-            interval_best = _refine_interval_best(stack, model, times, temps, chunk)
+            val, core, when = _refine_interval_best(stack, model, times, temps, chunk)
         else:
-            interval_best = None
-        base = chunk.start if chunk.start else 0
-        for i in range(masked.shape[0]):
-            core_peaks = np.full(n_cores, -np.inf)
-            best = (-np.inf, 0, 0.0)
-            for q in range(stack.z[base + i]):
-                core_peaks = np.maximum(core_peaks, grid_core_peaks[i, q])
-                if interval_best is not None:
-                    cand = interval_best[i][q]
-                else:
-                    flat = int(np.argmax(temps[i, q]))
-                    gi, ci = np.unravel_index(flat, temps.shape[2:])
-                    cand = (
-                        float(temps[i, q, gi, ci]),
-                        int(ci),
-                        float(times[i, q, gi]),
-                    )
-                if cand is not None and cand[0] > best[0]:
-                    best = (
-                        cand[0],
-                        cand[1],
-                        stack.starts[base + i, q] + cand[2],
-                    )
-            core_peaks = np.maximum(
-                core_peaks, best[0] * (np.arange(n_cores) == best[1])
-            )
+            val, core, when = _grid_winners(times, temps)
+        # The earliest interval holding the largest value wins.
+        q = np.argmax(np.where(mask, val, -np.inf), axis=1)
+        rows = np.arange(len(q))
+        best_val = val[rows, q]
+        best_core = core[rows, q]
+        best_time = stack.starts[chunk][rows, q] + when[rows, q]
+        core_peaks = np.where(mask[:, :, None], temps.max(axis=2), -np.inf).max(axis=1)
+        core_peaks = np.maximum(
+            core_peaks, best_val[:, None] * (on_core == best_core[:, None])
+        )
+        base = chunk.start or 0
+        for i in rows:
             results[general_idx[base + i]] = PeakResult(
-                value=float(best[0]),
-                core=int(best[1]),
-                time=float(best[2]),
-                core_peaks=core_peaks,
+                value=float(best_val[i]),
+                core=int(best_core[i]),
+                time=float(best_time[i]),
+                core_peaks=core_peaks[i].copy(),
             )
     return results  # type: ignore[return-value]

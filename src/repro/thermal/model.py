@@ -209,18 +209,18 @@ class ThermalModel:
         all nodes, unlike :meth:`steady_state_batch`): memoized vectors
         are served from the cache, the misses share a single Cholesky
         solve, and every fresh result is memoized.  This is the
-        steady-state path of the grid kernels
-        (:mod:`repro.thermal.grid`), which dedup voltage vectors per
-        platform before calling.
+        steady-state path of the batched kernels
+        (:mod:`repro.thermal.batch`), which dedup voltage vectors before
+        calling.
         """
-        out: list[np.ndarray | None] = [None] * len(voltage_list)
-        keys = []
+        if not len(voltage_list):
+            return []
+        rows = np.asarray(voltage_list, dtype=float).reshape(len(voltage_list), -1)
+        # The same rounded keys steady_state builds, computed in one pass.
+        keys = [tuple(key) for key in np.round(rows, 12).tolist()]
+        out: list[np.ndarray | None] = [None] * len(keys)
         miss: list[int] = []
-        for i, volts in enumerate(voltage_list):
-            key = tuple(
-                np.round(np.atleast_1d(np.asarray(volts, dtype=float)), 12)
-            )
-            keys.append(key)
+        for i, key in enumerate(keys):
             cached = self._ss_cache.get(key)
             if cached is not None:
                 self.ss_cache_hits += 1
@@ -230,10 +230,7 @@ class ThermalModel:
                 miss.append(i)
         if miss:
             self.ss_solves += len(miss)
-            volts = np.asarray(
-                [np.atleast_1d(np.asarray(voltage_list[i], dtype=float)) for i in miss]
-            )
-            psi = np.asarray(self.power.psi(volts))
+            psi = np.asarray(self.power.psi(rows[miss]))
             rhs = np.zeros((self.n_nodes, len(miss)))
             rhs[self.network.core_nodes, :] = psi.T
             theta = scipy.linalg.cho_solve(self._g_cho, rhs)

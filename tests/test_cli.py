@@ -1,9 +1,16 @@
 """Tests for the command-line interface."""
 
+import ast
+import inspect
+import re
+from pathlib import Path
+
 import pytest
 
-from repro.cli import PLATFORM_KEYS, _parse_option, main
+from repro.cli import PLATFORM_KEYS, _parse_option, build_parser, main
 from repro.experiments.registry import EXPERIMENTS
+
+REGENERATE_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "regenerate_results.sh"
 
 
 class TestParseOption:
@@ -73,12 +80,14 @@ class TestMain:
         assert main(["run", "table2", "--quick"]) == 0
         assert "Table II" in capsys.readouterr().out
 
-    def test_legacy_subcommand_warns_and_runs(self, capsys):
-        with pytest.warns(DeprecationWarning, match="repro run"):
-            assert main(["legacy", "table2", "--quick"]) == 0
-        captured = capsys.readouterr()
-        assert "Table II" in captured.out
-        assert "deprecated" in captured.err
+    def test_legacy_subcommand_removed(self, capsys):
+        # The `repro legacy` alias is gone; the same run is `repro run`.
+        with pytest.raises(SystemExit) as exc:
+            main(["legacy", "table2", "--quick"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert main(["run", "table2", "--quick"]) == 0
+        assert "Table II" in capsys.readouterr().out
 
     def test_option_override(self, capsys):
         assert main(["run", "fig5", "--quick", "-o", "m_max=2"]) == 0
@@ -206,3 +215,38 @@ class TestSolve:
 
         params = set(get_family("paper").params) | {"platform"}
         assert set(PLATFORM_KEYS) <= params
+
+
+def _regenerate_script_argvs() -> list[list[str]]:
+    """Every ``main([...])`` argv the results script issues, loop expanded."""
+    text = REGENERATE_SCRIPT.read_text()
+    loop_ids = re.search(r"for exp in ([^;]+); do", text).group(1).split()
+    argvs = []
+    for literal in re.findall(r"main\((\[.*?\])\)", text):
+        if "$exp" in literal:
+            argvs += [ast.literal_eval(literal.replace("$exp", e)) for e in loop_ids]
+        else:
+            argvs.append(ast.literal_eval(literal))
+    return argvs
+
+
+class TestRegenerateScript:
+    """scripts/regenerate_results.sh only issues forms the CLI accepts."""
+
+    def test_script_issues_cli_calls(self):
+        assert len(_regenerate_script_argvs()) >= 12
+
+    @pytest.mark.parametrize(
+        "argv", _regenerate_script_argvs(), ids=lambda argv: "_".join(argv)
+    )
+    def test_argv_parses(self, argv):
+        args = build_parser().parse_args(argv)
+        assert args.command == "run"
+        assert args.experiment in EXPERIMENTS
+        accepted = inspect.signature(EXPERIMENTS[args.experiment].run).parameters
+        for key, _ in args.option:
+            assert key in accepted
+
+    def test_library_experiments_exist(self):
+        names = re.findall(r'run_experiment\("(\w+)"\)', REGENERATE_SCRIPT.read_text())
+        assert names and set(names) <= set(EXPERIMENTS)

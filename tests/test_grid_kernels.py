@@ -1,9 +1,9 @@
 """Cross-platform grid kernels vs the scalar paths, to 1e-9.
 
-Covers the (platform × schedule) tensorized kernels
-(:mod:`repro.thermal.grid`), the process-shared eigenbasis cache
-(:mod:`repro.util.eigcache`), the ``REPRO_GRID_CHUNK_ELEMENTS`` override,
-and the grid-batched consumers (``choose_m_grid``, ``certify_grid``,
+Covers the (platform × schedule) entry points (:mod:`repro.thermal.grid`)
+and their group-by-model dispatch into :mod:`repro.thermal.batch`, the
+process-shared eigenbasis cache (:mod:`repro.util.eigcache`), and the
+grid-batched consumers (``choose_m_grid``, ``certify_grid``,
 ``perturbed_peak_batch``, the comparison batch executor).
 """
 
@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import EngineStats, ThermalEngine
-from repro.errors import ConfigurationError
+from repro.api import load_platform
 from repro.platform import Platform, paper_platform, platform_3d
 from repro.power import TransitionOverhead, big_little_power_model, paper_ladder
 from repro.floorplan import paper_floorplan
@@ -22,7 +22,8 @@ from repro.schedule.builders import (
     random_schedule,
     random_stepup_schedule,
 )
-from repro.thermal.batch import GRID_CHUNK_ELEMENTS, grid_chunk_elements
+from repro.thermal import batch, grid as grid_mod
+from repro.thermal.batch import peak_temperature_batch, stepup_peak_temperature_batch
 from repro.thermal.grid import (
     peak_temperature_grid,
     periodic_steady_state_grid,
@@ -158,28 +159,84 @@ class TestGridParity:
 
 
 class TestChunkBudget:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_GRID_CHUNK_ELEMENTS", raising=False)
-        assert grid_chunk_elements() == GRID_CHUNK_ELEMENTS
-
-    def test_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GRID_CHUNK_ELEMENTS", "1234")
-        assert grid_chunk_elements() == 1234
-
-    @pytest.mark.parametrize("bad", ["nope", "1.5", "0", "-4"])
-    def test_invalid(self, monkeypatch, bad):
-        monkeypatch.setenv("REPRO_GRID_CHUNK_ELEMENTS", bad)
-        with pytest.raises(ConfigurationError):
-            grid_chunk_elements()
-
     def test_forced_chunking_parity(self, hetero_models, rng, monkeypatch):
         rows = _mixed_rows(hetero_models, rng, per_model=4)
         baseline = peak_temperature_grid(rows)
-        monkeypatch.setenv("REPRO_GRID_CHUNK_ELEMENTS", "1000")
+        monkeypatch.setattr(batch, "GRID_CHUNK_ELEMENTS", 1000)
         chunked = peak_temperature_grid(rows)
         for a, b in zip(baseline, chunked):
             assert a.value == b.value
             assert a.core == b.core
+
+
+def _assert_same_peak(a, b):
+    assert (a.value, a.core, a.time) == (b.value, b.core, b.time)
+    np.testing.assert_array_equal(a.core_peaks, b.core_peaks)
+
+
+class TestGroupByModel:
+    """Interleaved rows of several models: one batch-kernel call per model."""
+
+    @pytest.fixture(scope="class")
+    def three_models(self):
+        return [
+            load_platform(name).model for name in ("paper3", "big_little", "stack3d")
+        ]
+
+    @staticmethod
+    def _interleaved(models, rng, stepup_only=False):
+        per_model = [
+            _mixed_rows([m], rng, per_model=4, stepup_only=stepup_only)
+            for m in models
+        ]
+        return [row for group in zip(*per_model) for row in group]
+
+    @staticmethod
+    def _count_calls(monkeypatch, name):
+        calls = []
+        kernel = getattr(grid_mod, name)
+
+        def counted(model, schedules, **kwargs):
+            calls.append(model)
+            return kernel(model, schedules, **kwargs)
+
+        monkeypatch.setattr(grid_mod, name, counted)
+        return calls
+
+    @staticmethod
+    def _per_model(kernel, rows, **kwargs):
+        """Each model's rows through ``kernel`` on their own, in row order."""
+        out = [None] * len(rows)
+        for model in {id(m): m for m, _ in rows}.values():
+            idx = [i for i, (m, _) in enumerate(rows) if m is model]
+            for i, res in zip(idx, kernel(model, [rows[i][1] for i in idx], **kwargs)):
+                out[i] = res
+        return out
+
+    @pytest.mark.parametrize("chunked", [False, True], ids=["whole", "chunked"])
+    def test_general_peaks(self, three_models, rng, monkeypatch, chunked):
+        if chunked:
+            monkeypatch.setattr(batch, "GRID_CHUNK_ELEMENTS", 1000)
+        rows = self._interleaved(three_models, rng)
+        expected = self._per_model(peak_temperature_batch, rows, refine=True)
+        calls = self._count_calls(monkeypatch, "peak_temperature_batch")
+        got = peak_temperature_grid(rows, refine=True)
+        assert calls == three_models
+        assert len(got) == len(rows)
+        for a, b in zip(got, expected):
+            _assert_same_peak(a, b)
+
+    @pytest.mark.parametrize("chunked", [False, True], ids=["whole", "chunked"])
+    def test_stepup_peaks(self, three_models, rng, monkeypatch, chunked):
+        if chunked:
+            monkeypatch.setattr(batch, "GRID_CHUNK_ELEMENTS", 1000)
+        rows = self._interleaved(three_models, rng, stepup_only=True)
+        expected = self._per_model(stepup_peak_temperature_batch, rows, check=False)
+        calls = self._count_calls(monkeypatch, "stepup_peak_temperature_batch")
+        got = stepup_peak_temperature_grid(rows, check=False)
+        assert calls == three_models
+        for a, b in zip(got, expected):
+            _assert_same_peak(a, b)
 
 
 class TestEigenCache:

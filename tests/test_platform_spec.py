@@ -195,21 +195,22 @@ class TestLoadPlatformShim:
             load_platform({"family": "paper", "overrides": {"n_cores": 2}})
             load_platform()
 
-    def test_legacy_kwargs_warn_but_match(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = load_platform(n_cores=2, n_levels=2, t_max_c=65.0)
-        blessed = load_platform("paper", n_cores=2, n_levels=2, t_max_c=65.0)
-        assert platform_hash(legacy) == platform_hash(blessed)
+    def test_flat_kwargs_rejected(self):
+        with pytest.raises(ConfigurationError, match=r"load_platform\('paper'"):
+            load_platform(n_cores=2, n_levels=2, t_max_c=65.0)
 
-    def test_legacy_flat_dict_warns_but_matches(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = load_platform({"n_cores": 2, "n_levels": 2})
-        assert platform_hash(legacy) == platform_hash(
-            load_platform("paper", n_cores=2, n_levels=2)
-        )
+    def test_flat_dict_rejected(self):
+        with pytest.raises(ConfigurationError, match=r"load_platform\('paper'"):
+            load_platform({"n_cores": 2, "n_levels": 2})
+        # The silent spec reader still takes the flat shape old journal
+        # rows carry.
+        assert platform_hash(
+            PlatformSpec.coerce({"n_cores": 2, "n_levels": 2}).build()
+        ) == platform_hash(load_platform("paper", n_cores=2, n_levels=2))
 
-    def test_legacy_object_overrides_still_build(self):
+    def test_object_overrides_rejected(self):
         power = big_little_power_model(big_cores=[0], n_cores=2)
-        with pytest.warns(DeprecationWarning):
-            built = load_platform(n_cores=2, power=power)
-        assert built.model.power is power and built.spec is None
+        with pytest.raises(ConfigurationError):
+            load_platform(n_cores=2, power=power)
+        with pytest.raises(ConfigurationError):
+            load_platform("paper", n_cores=2, power=power)
