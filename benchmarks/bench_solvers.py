@@ -66,7 +66,9 @@ def test_steady_state_batch(benchmark, platform9):
     assert theta.shape == (4096, 9)
 
 
-@pytest.mark.parametrize("preset, n_cores", [("paper", 3), ("tech-45-io", 12)])
+@pytest.mark.parametrize(
+    "preset, n_cores", [("paper", 3), ("tech-45-io", 12), ("tech-45-io", 16)]
+)
 def test_guarded_ao(benchmark, preset, n_cores):
     """A full guarded AO solve: m-scan, TPT/fill, verify, floor guard, certificate."""
     platform = repro.load_platform(preset, n_cores=n_cores)

@@ -21,6 +21,11 @@ checked against the committed snapshots and any benchmark whose best
 (min) time regressed by more than ``COMPARE_THRESHOLD`` fails the run
 (exit 3) — the CI ``bench-smoke`` gate.
 
+Extra pytest args select a subset (``-k guarded_ao``): the fresh entries
+are then merged into the committed snapshot, every other entry and the
+runner smoke summary keep their committed numbers, and a suite that
+selects nothing leaves its snapshot untouched.
+
 Usage: python scripts/bench_smoke.py [--compare] [extra pytest args...]
 """
 
@@ -106,6 +111,22 @@ def grid_speedup(doc: dict) -> float | None:
     return _round6(scalar / grid)
 
 
+def merge_reports(committed: dict, fresh: dict) -> dict:
+    """``committed`` with ``fresh``'s entries swapped in, matched by fullname.
+
+    Entries keep the committed order; benchmarks new to the snapshot are
+    appended.  Top-level fields the fresh run carries (its datetime and
+    machine) replace the committed ones; the rest are kept.
+    """
+    updates = {bench["fullname"]: bench for bench in fresh.get("benchmarks", [])}
+    merged = [
+        updates.pop(bench["fullname"], bench)
+        for bench in committed.get("benchmarks", [])
+    ]
+    merged.extend(updates.values())
+    return {**committed, **fresh, "benchmarks": merged}
+
+
 def compare_reports(committed: dict, fresh: dict) -> list[str]:
     """Best-time regressions of ``fresh`` vs the committed snapshot."""
     baseline = {
@@ -189,6 +210,10 @@ def run_suite(report: Path, paths: tuple[str, ...], extra: list[str],
     return proc.returncode, doc
 
 
+#: pytest's exit status when the selection collected no tests.
+NO_TESTS_COLLECTED = 5
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     compare = "--compare" in argv
@@ -200,31 +225,36 @@ def main(argv: list[str] | None = None) -> int:
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
 
+    selecting = bool(argv)
     regressions: list[str] = []
     for name, paths in SUITES:
         report = REPO_ROOT / name
         code, doc = run_suite(report, paths, argv, env)
+        if selecting and code == NO_TESTS_COLLECTED:
+            print(f"{name}: nothing selected, left as committed")
+            continue
         if code != 0 or doc is None:
             return code or 1
+        committed = json.loads(report.read_text()) if report.exists() else None
+        if compare:
+            if committed is not None:
+                regressions.extend(compare_reports(committed, doc))
+            else:
+                print(f"no committed {name} to compare against", file=sys.stderr)
+            continue
+        if selecting and committed is not None:
+            doc = merge_reports(committed, doc)
         if name == "BENCH_grid.json":
             speedup = grid_speedup(doc)
             if speedup is not None:
                 doc["grid_speedup_vs_scalar"] = speedup
                 print(f"grid kernel speedup vs scalar loop: {speedup:g}x")
-        elif name == "BENCH_solvers.json":
+        elif name == "BENCH_solvers.json" and not selecting:
             smoke = runner_smoke()
             if smoke is not None:
                 doc["runner_smoke"] = smoke
-        if compare:
-            if report.exists():
-                regressions.extend(
-                    compare_reports(json.loads(report.read_text()), doc)
-                )
-            else:
-                print(f"no committed {name} to compare against", file=sys.stderr)
-        else:
-            report.write_text(json.dumps(doc, indent=1) + "\n")
-            print(f"wrote {report}")
+        report.write_text(json.dumps(doc, indent=1) + "\n")
+        print(f"wrote {report}")
 
     if regressions:
         print("benchmark regressions beyond threshold:", file=sys.stderr)

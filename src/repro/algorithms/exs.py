@@ -9,10 +9,11 @@ highest total speed.  Two implementations:
   batch (the factorization is shared), so even the 9-core x 5-level grid
   (~2M assignments) is tractable.  Complexity is still exponential — this
   is the Table V cost story.
-* :func:`exs_pruned` — depth-first search exploiting monotonicity (raising
-  any core's voltage raises every temperature) plus a throughput bound.
-  Exact same answer, often orders of magnitude fewer evaluations; used by
-  the ablation benchmark.
+* :func:`exs_pruned` — :func:`constant_lattice_search`, the exact
+  branch-and-bound AO's constant floor guard also runs: monotonicity
+  (raising any core's voltage raises every temperature) prunes both on
+  temperature and on throughput.  Exact same answer, often orders of
+  magnitude fewer evaluations; used by the ablation benchmark.
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ import numpy as np
 from repro.algorithms.base import SchedulerResult
 from repro.engine import EngineStats, ThermalEngine, engine_entrypoint
 from repro.errors import InfeasibleError
+from repro.platform import Platform
 from repro.schedule.builders import constant_schedule
 
-__all__ = ["exs", "exs_pruned"]
+__all__ = ["constant_lattice_search", "exs", "exs_pruned"]
 
 #: Assignments evaluated per vectorized batch (bounds peak memory).
 BATCH = 65536
@@ -103,65 +105,95 @@ def exs(engine: ThermalEngine) -> SchedulerResult:
 def exs_pruned(engine: ThermalEngine) -> SchedulerResult:
     """Monotonicity-pruned exact search (same answer as :func:`exs`).
 
-    DFS over cores assigns levels from high to low.  Two prunes:
-
-    * *thermal*: a partial assignment is evaluated with all remaining
-      cores at the lowest level; if that optimistic completion already
-      violates ``T_max``, no completion is feasible (monotonicity).
-    * *bound*: if the partial sum plus ``v_max`` for every unassigned core
-      cannot beat the incumbent, the subtree is skipped.
+    :func:`constant_lattice_search` over every core with no incumbent.
+    ``details["evaluations"]`` counts the search nodes visited, not
+    steady-state solves.
     """
     mark = engine.checkpoint()
     t0 = time.perf_counter()
-    levels = sorted(engine.ladder.levels, reverse=True)
-    n = engine.n_cores
-    theta_max = engine.theta_max
-    v_min, v_max = engine.ladder.v_min, engine.ladder.v_max
+    voltages, nodes = constant_lattice_search(
+        engine.platform, np.arange(engine.n_cores)
+    )
+    if voltages is None:
+        raise InfeasibleError(
+            f"no constant assignment fits under theta_max={engine.theta_max:.2f} K"
+        )
+    peak = float(engine.steady_state_cores(voltages).max())
+    return _result(
+        voltages, peak, time.perf_counter() - t0, "EXS-pruned", nodes,
+        stats=engine.stats_since(mark),
+    )
 
-    best = {"sum": -np.inf, "voltages": None, "peak": np.inf, "evals": 0}
-    assignment = np.full(n, v_min)
 
-    def peak_of(volts: np.ndarray) -> float:
-        best["evals"] += 1
-        return float(engine.steady_state_cores(volts).max())
+def constant_lattice_search(
+    platform: Platform,
+    active: np.ndarray,
+    incumbent_sum: float = -np.inf,
+) -> tuple[np.ndarray | None, int]:
+    """Best feasible constant assignment whose speed sum beats ``incumbent_sum``.
 
-    def dfs(core: int, partial_sum: float) -> None:
-        if partial_sum + (n - core) * v_max <= best["sum"] + 1e-12:
+    Exact branch-and-bound over the ladder (DESIGN.md §5): cores ``active``
+    take levels high to low in DFS order, the rest stay gated at 0 V, and
+    the first maximum beating the incumbent by more than 1e-12 wins.  Core
+    temperatures ``R @ psi(v)`` on the core response matrix are carried
+    with the unassigned cores at ``v_min``; a level already too hot there
+    is skipped, and a subtree is cut when its partial sum plus each
+    unassigned core's cap (its highest level that fits with the others at
+    ``v_min``) cannot win.  Steps within 1e-9 K of the limit and improving
+    leaves are confirmed with the exact ``steady_state_cores``.
+
+    Returns ``(voltages or None, nodes visited)``.
+    """
+    model = platform.model
+    limit = platform.theta_max + 1e-9
+    levels = sorted(float(v) for v in platform.ladder.levels)
+    v_min = levels[0]
+    n_active = active.size
+    assignment = np.zeros(platform.n_cores)
+    assignment[active] = v_min
+
+    # step[l, j]: core temperatures added by raising active core j from
+    # v_min to levels[l].
+    level_arr = np.asarray(levels)[:, None]
+    psi = np.asarray(model.power.psi(np.repeat(level_arr, platform.n_cores, axis=1)))
+    step = (psi - psi[0])[:, active, None] * model.core_response[:, active].T
+
+    best_sum = float(incumbent_sum)
+    best_volts: np.ndarray | None = None
+    nodes = 0
+
+    def fits(volts: np.ndarray) -> bool:
+        return float(model.steady_state_cores(volts).max()) <= limit
+
+    def dfs(pos: int, partial_sum: float, theta: np.ndarray) -> None:
+        nonlocal best_sum, best_volts, nodes
+        nodes += 1
+        if pos == n_active:
+            if partial_sum > best_sum + 1e-12 and fits(assignment):
+                best_sum = partial_sum
+                best_volts = assignment.copy()
             return
-        if core == n:
-            peak = peak_of(assignment.copy())
-            if peak <= theta_max + 1e-9 and partial_sum > best["sum"]:
-                best["sum"] = partial_sum
-                best["voltages"] = assignment.copy()
-                best["peak"] = peak
+        # peaks[l, j]: hottest core with unassigned core j at levels[l].
+        peaks = (theta + step[:, pos:, :]).max(axis=2)
+        caps = np.where(peaks <= limit + 1e-9, level_arr, 0.0).max(axis=0)
+        # Half the leaf test's margin: rounding between the bound's and the
+        # leaf's summation orders cannot prune a leaf the leaf test takes.
+        if partial_sum + float(caps.sum()) <= best_sum + 0.5e-12:
             return
-        for lvl in levels:
-            assignment[core] = lvl
-            # Optimistic completion: all remaining cores at the lowest level.
-            optimistic = assignment.copy()
-            optimistic[core + 1 :] = v_min
-            if peak_of(optimistic) > theta_max + 1e-9:
-                assignment[core] = v_min
-                continue  # even the coolest completion fails; try a lower level
-            dfs(core + 1, partial_sum + lvl)
+        core = active[pos]
+        for k in range(len(levels) - 1, -1, -1):
+            peak = peaks[k, 0]
+            if peak > limit + 1e-9:
+                continue
+            assignment[core] = levels[k]
+            if peak < limit - 1e-9 or fits(assignment):
+                dfs(pos + 1, partial_sum + levels[k], theta + step[k, pos])
         assignment[core] = v_min
 
     try:
-        dfs(0, 0.0)
+        dfs(0, 0.0, model.core_response @ np.asarray(model.power.psi(assignment)))
     finally:
         # The recursive closure refers to itself; empty its cell so the
-        # cycle does not pin the engine's model until a full GC.
+        # cycle does not pin `model` and its caches until a full GC.
         del dfs
-    elapsed = time.perf_counter() - t0
-    if best["voltages"] is None:
-        raise InfeasibleError(
-            f"no constant assignment fits under theta_max={theta_max:.2f} K"
-        )
-    return _result(
-        best["voltages"],
-        best["peak"],
-        elapsed,
-        "EXS-pruned",
-        best["evals"],
-        stats=engine.stats_since(mark),
-    )
+    return best_volts, nodes

@@ -8,10 +8,10 @@ walks this chain instead of losing the grid cell:
 1. ``neighbor_rounding`` — the LNS baseline: round the continuous
    assignment down one ladder level per core.  Feasible by monotonicity
    whenever the continuous relaxation was.
-2. ``best_constant`` — the monotonicity-pruned exact search over the
-   constant-mode lattice (:func:`repro.algorithms.ao.best_constant_above`
-   seeded with no incumbent), i.e. EXS's answer without EXS's failure
-   modes.
+2. ``best_constant`` — the exact branch-and-bound over the constant-mode
+   lattice (:func:`repro.algorithms.ao.best_constant_above` seeded with
+   no incumbent, priced on the core response matrix), i.e. EXS's answer
+   without EXS's failure modes.
 3. ``lowest_mode`` — every core at the ladder's lowest level.  Builds
    unconditionally (the never-fails floor); its feasibility is reported
    honestly rather than assumed.

@@ -176,6 +176,16 @@ class ThermalModel:
         """Steady-state temperatures of the core nodes only."""
         return self.steady_state(voltages)[self.network.core_nodes]
 
+    @cached_property
+    def core_response(self) -> np.ndarray:
+        """``R = [(G - E_beta)^-1]_{cores,cores} >= 0``: steady core K per core W.
+
+        ``steady_state_cores(v) == R @ psi(v)`` up to rounding; computed
+        once from the steady-state Cholesky factor.
+        """
+        theta = scipy.linalg.cho_solve(self._g_cho, self.network.injection_matrix())
+        return theta[self.network.core_nodes, :]
+
     def steady_state_batch(self, voltage_matrix: np.ndarray) -> np.ndarray:
         """Steady-state *core* temperatures for a batch of voltage vectors.
 

@@ -3,9 +3,14 @@
 import numpy as np
 import pytest
 
+import repro
 from repro.algorithms import ao, exs, lns, pco
+from repro.algorithms.ao import best_constant_above
+from repro.algorithms.continuous import continuous_assignment
+from repro.algorithms.oscillation import plan_modes
 from repro.platform import paper_platform
 from repro.schedule.properties import is_step_up
+from repro.thermal.model import ThermalModel
 from repro.thermal.peak import peak_temperature
 
 
@@ -107,3 +112,29 @@ class TestPCO:
         # Table V's qualitative claim on this codebase: PCO pays for the
         # general peak engine.
         assert pco3.runtime_s > ao3.runtime_s * 0.5
+
+
+class TestFloorGuardWork:
+    """The constant floor guard's work stays bounded as cores grow."""
+
+    def test_guard_bypasses_the_steady_state_lru(self, monkeypatch):
+        platform = repro.load_platform("tech-45-io", n_cores=12)
+        result = ao(platform)
+        plan = plan_modes(platform, continuous_assignment(platform).voltages)
+        calls = []
+        exact = ThermalModel.steady_state
+
+        def counted(self, voltages):
+            calls.append(voltages)
+            return exact(self, voltages)
+
+        monkeypatch.setattr(ThermalModel, "steady_state", counted)
+        best_constant_above(platform, plan, result.throughput * 12)
+        assert len(calls) <= 2
+
+    def test_guarded_ao_at_16_cores(self):
+        platform = repro.load_platform("tech-45-io", n_cores=16)
+        result = repro.guarded_solve("AO", platform)
+        assert result.feasible
+        assert result.certificate is not None and result.certificate.accepted
+        assert "fallback" not in result.details
