@@ -166,17 +166,9 @@ def ao(
         details["m_history"] = [(1, peak.value)]
     else:
         with engine.phase("ao/choose_m"):
-            # Grid-batched dispatch precomputes the m scan for a whole
-            # (platform × schedule) grid and plants it as a hint; consume
-            # it when present (one-shot), otherwise scan normally.  The
-            # hint key pins every parameter the scan depends on.
-            hinted = engine.take_hint("choose_m", (period, m_cap, m_step))
-            if hinted is not None:
-                m_opt, sched, history = hinted
-            else:
-                m_opt, sched, history = choose_m(
-                    engine, plan, period, m_cap=m_cap, m_step=m_step
-                )
+            m_opt, sched, history = choose_m(
+                engine, plan, period, m_cap=m_cap, m_step=m_step
+            )
         details["m_history"] = history
         ratios = adjusted_high_ratios(platform, plan, m_opt, period)
         with engine.phase("ao/tpt"):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.engine import ThermalEngine, as_platform
-from repro.errors import SolverError
+from repro.errors import InfeasibleError, SolverError
 from repro.platform import Platform
 from repro.util.linalg import solve_linear
 
@@ -161,7 +161,7 @@ def continuous_assignment(
         if active_mask is not None:
             floor_v[~active_mask] = 0.0
         if model.steady_state_cores(floor_v).max() > theta_max + 1e-9:
-            raise SolverError(
+            raise InfeasibleError(
                 f"infeasible: even v_min on all active cores exceeds theta_max "
                 f"({model.steady_state_cores(floor_v).max():.3f} > "
                 f"{theta_max:.3f} K)"

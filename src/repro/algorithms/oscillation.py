@@ -35,7 +35,6 @@ __all__ = [
     "adjusted_high_ratios",
     "build_oscillating_schedule",
     "choose_m",
-    "choose_m_grid",
     "effective_throughput",
 ]
 
@@ -210,7 +209,7 @@ def choose_m(
 
 
 def _select_m(candidates, peaks) -> tuple[int, list[tuple[int, float]]]:
-    """Shared selection rule: first m whose peak strictly improves.
+    """Selection rule of :func:`choose_m`: first m whose peak strictly improves.
 
     Returns the winner's index into ``candidates`` and the scan history.
     """
@@ -222,61 +221,6 @@ def _select_m(candidates, peaks) -> tuple[int, list[tuple[int, float]]]:
             best, best_peak = i, peak
     assert best is not None
     return best, history
-
-
-def choose_m_grid(
-    targets,
-    period: float,
-    m_cap: int = DEFAULT_M_CAP,
-    m_step: int = 1,
-) -> list[tuple[int, PeriodicSchedule, list[tuple[int, float]]]]:
-    """Run :func:`choose_m` for many (platform, plan) pairs in one grid call.
-
-    Parameters
-    ----------
-    targets:
-        Sequence of ``(platform_or_engine, plan)`` pairs.  Platforms may
-        differ in core count and thermal model; all scans share ``period``,
-        ``m_cap`` and ``m_step`` (the shape the comparison sweep needs).
-
-    Returns
-    -------
-    One ``(m_opt, schedule, history)`` triple per target, in input order
-    — identical to calling :func:`choose_m` per target, but every
-    candidate across every platform is priced through one
-    :func:`repro.thermal.grid.stepup_peak_temperature_grid` evaluation.
-    """
-    from repro.thermal.grid import stepup_peak_temperature_grid
-
-    targets = list(targets)
-    rows: list[tuple] = []  # (model, schedule) grid rows
-    spans: list[tuple[ThermalEngine, list[int], list[PeriodicSchedule]]] = []
-    for platform, plan in targets:
-        engine = ThermalEngine.ensure(platform)
-        m_max = max_m_bound(engine, plan, period, cap=m_cap)
-        candidates = list(range(1, m_max + 1, max(1, m_step)))
-        schedules = [
-            build_oscillating_schedule(
-                plan, adjusted_high_ratios(engine, plan, m, period), period, m
-            )
-            for m in candidates
-        ]
-        # Attribute the batched pricing to each target's engine so stats
-        # stay comparable with the per-target scalar path.
-        engine._count_batch(len(schedules))
-        spans.append((engine, candidates, schedules))
-        rows.extend((engine.model, sched) for sched in schedules)
-
-    peaks = [r.value for r in stepup_peak_temperature_grid(rows, check=False)]
-
-    out = []
-    offset = 0
-    for _engine, candidates, schedules in spans:
-        span_peaks = peaks[offset : offset + len(schedules)]
-        offset += len(schedules)
-        best, history = _select_m(candidates, span_peaks)
-        out.append((candidates[best], schedules[best], history))
-    return out
 
 
 def effective_throughput(

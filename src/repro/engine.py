@@ -305,7 +305,6 @@ class ThermalEngine:
         self._phase_seconds: dict[str, float] = {}
         self._batch_histogram = METRICS.histogram("engine.batch_size")
         self._condition_number: float | None = None
-        self._hints: dict[tuple[str, Any], list[Any]] = {}
         self._baseline = self.checkpoint()
 
     @classmethod
@@ -429,38 +428,6 @@ class ThermalEngine:
         schedules = tuple(schedules)
         self._count_batch(len(schedules))
         return periodic_steady_state_batch(self.model, schedules)
-
-    # ------------------------------------------------------------------
-    # precomputation hints
-    # ------------------------------------------------------------------
-
-    def set_hint(self, key: str, params_key: Any, value: Any) -> None:
-        """Stash a precomputed result for a solver phase to pick up.
-
-        Grid-batched dispatch (:mod:`repro.experiments.comparison`)
-        evaluates expensive phases — ``choose_m`` across a whole
-        (platform × schedule) grid — *before* the per-unit solver runs,
-        then injects the results here.  The solver body consumes them via
-        :meth:`take_hint` with the same ``(key, params_key)`` pair, so
-        the registry path (parameter validation, certificates, fallback
-        chains) stays byte-for-byte identical whether or not a hint was
-        planted.  Hints are one-shot: ``take_hint`` removes them, so a
-        retry after a failure recomputes honestly.  Each ``(key,
-        params_key)`` pair holds a FIFO stack, so session-shared engines
-        can carry hints for several queued units with identical
-        parameters without one unit consuming another's precompute.
-        """
-        self._hints.setdefault((key, params_key), []).append(value)
-
-    def take_hint(self, key: str, params_key: Any) -> Any:
-        """Pop the oldest hint planted by :meth:`set_hint` (``None`` when absent)."""
-        stack = self._hints.get((key, params_key))
-        if not stack:
-            return None
-        value = stack.pop(0)
-        if not stack:
-            del self._hints[(key, params_key)]
-        return value
 
     # ------------------------------------------------------------------
     # peak-engine selection

@@ -17,9 +17,8 @@ boundaries.
 from __future__ import annotations
 
 import os
-import time
-from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass, field, replace
+from collections.abc import Callable, Mapping
+from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -31,7 +30,6 @@ from repro.errors import InfeasibleError
 from repro.obs import METRICS, span
 from repro.platform import Platform
 from repro.runner import RunnerConfig, RunReport, comparison_units, run as run_units
-from repro.runner.units import WorkUnit
 from repro.schedule.serialization import result_from_dict
 
 __all__ = [
@@ -39,15 +37,11 @@ __all__ = [
     "run_cell",
     "ComparisonGrid",
     "build_grid",
-    "grid_batch_executor",
     "ComparisonResult",
     "comparison",
 ]
 
 APPROACHES = ("LNS", "EXS", "AO", "PCO")
-
-#: Solvers whose dominant phase (the m scan) grid-dispatch can precompute.
-GRID_DISPATCH_SOLVERS = frozenset({"AO", "PCO"})
 
 
 @dataclass(frozen=True)
@@ -229,107 +223,6 @@ def _assemble_cells(
     return tuple(cells)
 
 
-def grid_batch_executor(
-    units: Sequence[WorkUnit],
-) -> dict[str, tuple[dict[str, Any], float]]:
-    """Grid-batched execution of AO/PCO comparison units (sequential mode).
-
-    Groups the grid-dispatchable units by their shared
-    ``(period, m_cap, m_step)``, evaluates every unit's ``choose_m`` scan
-    in one :func:`repro.algorithms.oscillation.choose_m_grid` call — a
-    single cross-platform tensor evaluation instead of one batched call
-    per unit — and plants the results as engine hints before running each
-    unit through the normal :func:`~repro.runner.units.solve_cell_outcome`
-    path (registry dispatch, certificates and fallback chains unchanged).
-
-    Any per-unit failure simply omits that unit from the returned map, so
-    the runner re-executes it through the ordinary per-unit path with
-    full retry semantics.  Returns ``{unit_id: (outcome, elapsed_s)}``.
-    """
-    from repro.algorithms.continuous import continuous_assignment
-    from repro.algorithms.oscillation import (
-        DEFAULT_M_CAP,
-        choose_m_grid,
-        plan_modes,
-    )
-    from repro.runner.units import solve_cell_outcome
-    from repro.service.session import default_session
-
-    session = default_session()
-    prepared: list[tuple[WorkUnit, Any, Any, tuple, Any]] = []
-    for unit in units:
-        if unit.kind != "solve_cell":
-            continue
-        payload = unit.payload
-        if str(payload.get("algo")) not in GRID_DISPATCH_SOLVERS:
-            continue
-        params = dict(payload.get("params") or {})
-        try:
-            # Session engines: units for the same platform content share
-            # one engine (and its caches) instead of rebuilding it.
-            from repro.runner.units import _platform_spec_doc
-
-            engine = session.engine_for(_platform_spec_doc(payload))
-            # The checkpoint must precede the shared precompute so its
-            # thermal work lands in this unit's stats row.
-            mark = engine.checkpoint()
-        except Exception:  # noqa: BLE001 - normal path will surface this
-            continue
-        # Mirror ao()'s parameter defaults — the hint key must match the
-        # key the solver body derives from its actual arguments.
-        key = (
-            float(params.get("period", 0.02)),
-            int(params.get("m_cap", DEFAULT_M_CAP)),
-            int(params.get("m_step", 1)),
-        )
-        plan = None
-        try:
-            cont = continuous_assignment(engine.platform)
-            cand = plan_modes(engine.platform, cont.voltages)
-            if cand.oscillating.any():
-                plan = cand
-        except Exception:  # noqa: BLE001 - solver recomputes honestly
-            plan = None
-        prepared.append((unit, engine, mark, key, plan))
-
-    groups: dict[tuple, list[int]] = {}
-    for idx, (_unit, _engine, _mark, key, plan) in enumerate(prepared):
-        if plan is not None:
-            groups.setdefault(key, []).append(idx)
-    for key, idxs in groups.items():
-        period, m_cap, m_step = key
-        try:
-            scans = choose_m_grid(
-                [(prepared[i][1], prepared[i][4]) for i in idxs],
-                period, m_cap=m_cap, m_step=m_step,
-            )
-        except Exception:  # noqa: BLE001 - units fall back to scalar scans
-            METRICS.counter("comparison.grid_precompute_errors").inc()
-            continue
-        for i, scan in zip(idxs, scans):
-            prepared[i][1].set_hint("choose_m", key, scan)
-
-    handled: dict[str, tuple[dict[str, Any], float]] = {}
-    seen_engines: set[int] = set()
-    for unit, engine, mark, _key, _plan in prepared:
-        t0 = time.perf_counter()
-        # Session-shared engines: only the first unit on an engine keeps
-        # its prepare-time mark (attributing the shared precompute once);
-        # later units re-checkpoint here so their stats rows never count
-        # a sibling's precompute or solve work.
-        if id(engine) in seen_engines:
-            mark = engine.checkpoint()
-        else:
-            seen_engines.add(id(engine))
-        try:
-            outcome = solve_cell_outcome(unit.payload, engine=engine, mark=mark)
-        except Exception:  # noqa: BLE001 - normal path retries this unit
-            METRICS.counter("comparison.grid_dispatch_errors").inc()
-            continue
-        handled[unit.unit_id] = (outcome, time.perf_counter() - t0)
-    return handled
-
-
 def build_grid(
     core_counts=(2, 3, 6, 9),
     level_counts=(2,),
@@ -346,7 +239,6 @@ def build_grid(
     run_dir: str | os.PathLike | None = None,
     resume: bool = False,
     progress: Callable | None = None,
-    grid_dispatch: bool = True,
 ) -> ComparisonGrid:
     """Run the comparison over a (cores x levels x T_max) grid.
 
@@ -359,15 +251,8 @@ def build_grid(
     emitted grid — is identical in all modes, and a unit that fails
     terminally records a structured error row (see
     ``grid.report``) instead of aborting the sweep.
-
-    ``grid_dispatch`` (sequential mode only) routes the AO/PCO units
-    through :func:`grid_batch_executor`, pricing every unit's m scan in
-    one cross-platform grid kernel call; results are identical to
-    per-unit execution, and any batching failure falls back to it.
     """
     config = runner or RunnerConfig(parallel=parallel, max_workers=max_workers)
-    if grid_dispatch and not config.parallel and config.batch_executor is None:
-        config = replace(config, batch_executor=grid_batch_executor)
     common = {
         "period": period,
         "m_cap": m_cap,
@@ -445,7 +330,6 @@ def comparison(
     run_dir: str | os.PathLike | None = None,
     resume: bool = False,
     progress: Callable | None = None,
-    grid_dispatch: bool = True,
 ) -> ComparisonResult:
     """The bare comparison sweep as a first-class experiment.
 
@@ -467,6 +351,5 @@ def comparison(
         run_dir=run_dir,
         resume=resume,
         progress=progress,
-        grid_dispatch=grid_dispatch,
     )
     return ComparisonResult(grid=grid)

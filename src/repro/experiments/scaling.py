@@ -10,9 +10,9 @@ platform (:mod:`repro.scaling`) is attacked two ways:
   default) keep every core lit and oscillate around the thermal
   constraint.  Outcomes ride through
   :func:`~repro.algorithms.registry.guarded_solve`, so a cell where even
-  all-``v_min`` operation overheats comes back as an honest
-  ``feasible=False`` fallback row rather than a crash — feasibility
-  flags, not raw throughput, decide the frontier;
+  all-``v_min`` operation overheats comes back as an honest infeasible
+  row (``feasible=False``, ``throughput: None``) rather than a crash —
+  feasibility flags, not raw throughput, decide the frontier;
 * **dark silicon** — the greedy gating policy
   (:func:`~repro.algorithms.dark.dark_silicon_ao`) under utilization
   floors: a floor of 0.5 requires at least half the chip lit, bounding

@@ -117,11 +117,7 @@ def solve_cell_platform(payload: Mapping[str, Any]):
     return PlatformSpec.coerce(_platform_spec_doc(payload)).build()
 
 
-def solve_cell_outcome(
-    payload: Mapping[str, Any],
-    engine=None,
-    mark: dict[str, Any] | None = None,
-) -> dict[str, Any]:
+def solve_cell_outcome(payload: Mapping[str, Any]) -> dict[str, Any]:
     """Run one registered solver on one platform configuration.
 
     Returns an ``{"status", "result", "stats", "certificate", "spans"}``
@@ -139,33 +135,20 @@ def solve_cell_outcome(
     run inherits them from the journal.  The root ``unit/solve_cell``
     span's attributes are set from the *same* stats dict stored in the
     row, which is what makes a trace file reconcile with the journal.
-
-    ``engine`` / ``mark`` let grid-batched dispatch
-    (:func:`repro.experiments.comparison.grid_batch_executor`) pass in a
-    pre-hinted engine plus the checkpoint taken *before* its shared
-    precomputation, so the precompute work is attributed to the unit that
-    consumes it.
     """
     from repro.algorithms.registry import get_solver, guarded_solve
     from repro.errors import InfeasibleError
     from repro.obs import capture_spans, span
     from repro.schedule.serialization import result_to_dict
+    from repro.service.session import default_session
 
-    if engine is None:
-        # Session-per-worker: identical cells in one worker share an
-        # engine (and its steady-state/eigen caches) instead of paying
-        # the platform build per unit.
-        from repro.service.session import default_session
-
-        engine = default_session().engine_for(_platform_spec_doc(payload))
+    # Session-per-worker: identical cells in one worker share an engine
+    # (and its steady-state/eigen caches) instead of paying the platform
+    # build per unit.
+    engine = default_session().engine_for(_platform_spec_doc(payload))
     spec = get_solver(str(payload["algo"]))
     params = dict(payload.get("params") or {})
-    # With a caller-provided mark the stats row must span from *that*
-    # checkpoint — it covers shared precompute (eigen resolution, grid
-    # m scans) done for this unit before the solver body ran.
-    span_from_mark = mark is not None
-    if mark is None:
-        mark = engine.checkpoint()
+    mark = engine.checkpoint()
     outcome: dict[str, Any]
     with capture_spans(isolate=True) as captured:
         with span(
@@ -188,10 +171,9 @@ def solve_cell_outcome(
                     "detail": str(exc),
                 }
             else:
-                if span_from_mark or result.stats is None:
+                st = result.stats
+                if st is None:
                     st = engine.stats_since(mark)
-                else:
-                    st = result.stats
                 stats = st.as_dict()
                 cert = result.certificate
                 outcome = {
@@ -215,11 +197,6 @@ def solve_cell_outcome(
             )
     outcome["spans"] = [s.as_dict() for s in captured]
     return outcome
-
-
-def _exec_solve_cell(payload: Mapping[str, Any]) -> dict[str, Any]:
-    """Worker entry point for ``solve_cell`` units (fresh platform)."""
-    return solve_cell_outcome(payload)
 
 
 def realtime_cell_outcome(payload: Mapping[str, Any]) -> dict[str, Any]:
@@ -291,11 +268,6 @@ def realtime_cell_outcome(payload: Mapping[str, Any]) -> dict[str, Any]:
     return outcome
 
 
-def _exec_realtime_cell(payload: Mapping[str, Any]) -> dict[str, Any]:
-    """Worker entry point for ``realtime_cell`` units."""
-    return realtime_cell_outcome(payload)
-
-
 def _exec_probe(payload: Mapping[str, Any]) -> dict[str, Any]:
     """Fault-injection unit for runner tests.
 
@@ -333,8 +305,8 @@ def _exec_probe(payload: Mapping[str, Any]) -> dict[str, Any]:
 
 #: Executor registry: ``unit.kind`` -> callable(payload) -> outcome doc.
 EXECUTORS: dict[str, Any] = {
-    "solve_cell": _exec_solve_cell,
-    "realtime_cell": _exec_realtime_cell,
+    "solve_cell": solve_cell_outcome,
+    "realtime_cell": realtime_cell_outcome,
     "probe": _exec_probe,
 }
 

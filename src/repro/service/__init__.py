@@ -19,8 +19,8 @@ for, extracted so every consumer shares one machinery:
 
 In-process consumers go through
 :func:`~repro.service.session.default_session`; the refactored
-``repro.api.evaluate``, CLI solve/certify, sharded-runner workers and
-grid-batched dispatch all do.
+``repro.api.evaluate``, CLI solve/certify and sharded-runner workers
+all do.
 """
 
 from repro.service.cache import (

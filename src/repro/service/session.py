@@ -24,8 +24,8 @@ fallback record in ``result.details["fallback"]`` (or is an honest
 the original solve, certificate included.
 
 :func:`default_session` is the process-wide singleton the refactored
-layers (``repro.api.evaluate``, the CLI, the sharded runner's workers,
-grid-batched dispatch) share; it is rebuilt per process so forked
+layers (``repro.api.evaluate``, the CLI, the sharded runner's workers)
+share; it is rebuilt per process so forked
 workers get their own engine LRU while still inheriting the warm
 in-process eigenbasis cache.
 """

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.algorithms.ao import ao
 from repro.experiments.comparison import (
     APPROACHES,
     CellResult,
@@ -85,3 +86,18 @@ class TestComparisonGrid:
         assert header[:3] == ["cores", "levels", "t_max_c"]
         for name in APPROACHES:
             assert f"thr_{name.lower()}" in header
+
+    def test_ao_stats_cover_the_whole_solve(self):
+        # A grid cell's AO stats describe AO's entire solve,
+        # m scan included, so Table V's cost columns compare like for like.
+        grid = build_grid(
+            approaches=("AO",), core_counts=(2, 3), t_max_values=(65.0,),
+            m_cap=8,
+        )
+        for cell in grid.cells:
+            platform = paper_platform(
+                cell.n_cores, n_levels=cell.n_levels, t_max_c=cell.t_max_c
+            )
+            direct = ao(platform, m_cap=8)
+            got = cell.results["AO"].stats
+            assert got.batch_candidates == direct.stats.batch_candidates

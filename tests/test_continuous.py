@@ -56,11 +56,11 @@ class TestClamping:
         pytest.skip("no low-clamp threshold found in the scanned range")
 
     def test_infeasible_threshold_raises(self):
-        from repro.errors import SolverError
+        from repro.errors import InfeasibleError
 
         p = paper_platform(3, t_max_c=37.0)  # all-low already exceeds theta_max
         assert p.model.steady_state_cores(np.full(3, 0.6)).max() > p.theta_max
-        with pytest.raises(SolverError):
+        with pytest.raises(InfeasibleError):
             continuous_assignment(p)
 
     def test_partial_clamp_consistency(self):

@@ -3,8 +3,7 @@
 Covers the (platform × schedule) entry points (:mod:`repro.thermal.grid`)
 and their group-by-model dispatch into :mod:`repro.thermal.batch`, the
 process-shared eigenbasis cache (:mod:`repro.util.eigcache`), and the
-grid-batched consumers (``choose_m_grid``, ``certify_grid``,
-``perturbed_peak_batch``, the comparison batch executor).
+grid-batched consumers (``certify_grid``, ``perturbed_peak_batch``).
 """
 
 import numpy as np
@@ -310,32 +309,6 @@ class TestEigenCache:
 
 
 class TestGridConsumers:
-    def test_choose_m_grid(self, rng):
-        from repro.algorithms.continuous import continuous_assignment
-        from repro.algorithms.oscillation import choose_m, choose_m_grid, plan_modes
-
-        targets = []
-        for n, t_max in ((2, 65.0), (3, 55.0)):
-            engine = ThermalEngine(paper_platform(n, n_levels=2, t_max_c=t_max))
-            cont = continuous_assignment(engine.platform)
-            plan = plan_modes(engine.platform, cont.voltages)
-            targets.append((engine, plan))
-        grid = choose_m_grid(targets, period=0.02, m_cap=8)
-        for (engine, plan), (m_opt, sched, history) in zip(targets, grid):
-            m_ref, sched_ref, hist_ref = choose_m(
-                engine, plan, 0.02, m_cap=8
-            )
-            assert m_opt == m_ref
-            assert sched == sched_ref
-            assert [m for m, _ in history] == [m for m, _ in hist_ref]
-
-    def test_engine_hints_one_shot(self):
-        engine = ThermalEngine(paper_platform(2, n_levels=2, t_max_c=65.0))
-        assert engine.take_hint("choose_m", (0.02, 8, 1)) is None
-        engine.set_hint("choose_m", (0.02, 8, 1), "payload")
-        assert engine.take_hint("choose_m", (0.02, 8, 1)) == "payload"
-        assert engine.take_hint("choose_m", (0.02, 8, 1)) is None
-
     def test_certify_grid_matches_scalar(self, rng):
         from repro.safety.certificate import certify, certify_grid
 
@@ -392,22 +365,3 @@ class TestGridConsumers:
                 perturbed_peak(engine, sched, spec), abs=PARITY
             )
         assert perturbed_peak_batch(engine, sched, []) == []
-
-    def test_comparison_grid_dispatch_equivalence(self):
-        from repro.experiments.comparison import build_grid
-
-        kwargs = dict(
-            core_counts=(2, 3),
-            level_counts=(2,),
-            t_max_values=(65.0,),
-            approaches=("AO",),
-            m_cap=8,
-        )
-        plain = build_grid(grid_dispatch=False, **kwargs)
-        dispatched = build_grid(grid_dispatch=True, **kwargs)
-        assert len(plain.cells) == len(dispatched.cells)
-        for a, b in zip(plain.cells, dispatched.cells):
-            ra, rb = a.results["AO"], b.results["AO"]
-            assert rb.throughput == pytest.approx(ra.throughput, abs=1e-12)
-            assert rb.peak_theta == pytest.approx(ra.peak_theta, abs=1e-12)
-            assert rb.schedule == ra.schedule

@@ -6,7 +6,8 @@ hypothesis draws platforms from the technology-scaling generator — node ×
 core style × core count × ladder size × threshold, optionally with some
 cores power-gated — and checks the search against a brute-force oracle
 that prices every assignment with ``steady_state_batch``, plus the
-paper's AO >= EXS ordering.
+paper's AO >= EXS ordering and honest failure: a guarded solve is either
+certified safe or raises :class:`~repro.errors.InfeasibleError`.
 
 Profiles: loads the ``ci`` profile by default (derandomized, no
 deadline); set ``HYPOTHESIS_PROFILE=dev`` for a wider randomized search.
@@ -24,7 +25,8 @@ from repro.algorithms.ao import ao, best_constant_above
 from repro.algorithms.continuous import continuous_assignment
 from repro.algorithms.exs import exs
 from repro.algorithms.oscillation import plan_modes
-from repro.errors import InfeasibleError, SolverError
+from repro.algorithms.registry import guarded_solve
+from repro.errors import InfeasibleError
 from repro.scaling.generator import tech_platform
 
 settings.register_profile(
@@ -89,7 +91,7 @@ def test_floor_search_matches_brute_force(drawn):
     platform, mask = drawn
     try:
         plan = plan_modes(platform, continuous_assignment(platform, mask).voltages)
-    except SolverError:
+    except InfeasibleError:
         # Even v_min on every active core is too hot: nothing is feasible.
         floor = np.full(platform.n_cores, platform.ladder.v_min)
         if mask is not None:
@@ -119,10 +121,28 @@ def test_ao_never_loses_to_exs(drawn):
         exs_result = exs(platform)
     except InfeasibleError:
         # No constant assignment fits, so not even AO's all-v_min start.
-        with pytest.raises(SolverError):
+        with pytest.raises(InfeasibleError):
             ao(platform)
         return
     ao_result = ao(platform)
     assert ao_result.throughput >= exs_result.throughput - 1e-9
     assert ao_result.peak_theta <= platform.theta_max + 1e-6
 
+
+
+@settings(max_examples=20)
+@given(
+    node=st.sampled_from([45, 32, 22, 16, 11, 8]),
+    style=st.sampled_from(["io", "o3"]),
+    n_cores=st.integers(2, 6),
+    t_max_c=st.floats(46.0, 70.0),
+)
+def test_guarded_solve_is_safe_or_infeasible(node, style, n_cores, t_max_c):
+    platform = tech_platform(node, style=style, n_cores=n_cores, t_max_c=t_max_c)
+    for algo in ("AO", "PCO", "LNS"):
+        try:
+            result = guarded_solve(algo, platform)
+        except InfeasibleError:
+            continue
+        assert result.feasible, algo
+        assert result.certificate.accepted, algo

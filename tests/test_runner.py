@@ -10,6 +10,7 @@ real ``repro run comparison`` CLI, SIGKILLs it mid-run, resumes with
 uninterrupted run modulo timing fields.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -212,6 +213,20 @@ class TestResume:
         with pytest.raises(RunnerError, match="different.*unit set"):
             run([probe("ok", value=2)], RunnerConfig(), run_dir=run_dir,
                 resume=True)
+
+    def test_resume_ignores_retired_config_keys(self, tmp_path):
+        # Run dirs written before the grid-batched dispatch path was
+        # removed record a "grid_dispatch" config key; resume only
+        # checks the unit set.
+        units = [probe("ok", value=1)]
+        run_dir = tmp_path / "run"
+        run(units, RunnerConfig(), run_dir=run_dir)
+        path = run_dir / "manifest.json"
+        doc = json.loads(path.read_text())
+        doc["config"]["grid_dispatch"] = True
+        path.write_text(json.dumps(doc))
+        report = run(units, RunnerConfig(), run_dir=run_dir, resume=True)
+        assert report.skipped == 1 and report.ok == 1
 
     def test_fresh_run_refuses_existing_run_dir(self, tmp_path):
         run_dir = tmp_path / "run"

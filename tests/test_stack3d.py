@@ -5,7 +5,7 @@ import pytest
 
 from repro.algorithms import ao, continuous_assignment
 from repro.algorithms.dark import dark_silicon_ao
-from repro.errors import FloorplanError, InfeasibleError, SolverError, ThermalModelError
+from repro.errors import FloorplanError, InfeasibleError, ThermalModelError
 from repro.floorplan import Stack3D, grid_floorplan
 from repro.platform import platform_3d, paper_platform
 from repro.thermal.stack3d import build_3d_network
@@ -89,7 +89,7 @@ class TestPlatform3D:
 
     def test_infeasible_stack_raises(self):
         p = platform_3d(3, 2, 2, n_levels=2, t_max_c=65.0)
-        with pytest.raises(SolverError):
+        with pytest.raises(InfeasibleError):
             continuous_assignment(p)
 
 
